@@ -26,7 +26,7 @@ void BM_ParserUdp(benchmark::State& state) {
       static_cast<std::size_t>(state.range(0)));
   const pisa::Parser parser = pisa::Parser::standard();
   for (auto _ : state) {
-    pisa::Phv phv = parser.parse(pkt);
+    pisa::Phv phv = parser.parse(net::Packet(pkt));
     benchmark::DoNotOptimize(phv);
   }
 }
@@ -161,7 +161,7 @@ void BM_SwitchPacketPath(benchmark::State& state) {
       net::Ipv4Address(10, 0, 0, 1), net::Ipv4Address(10, 0, 1, 1), 1, 2,
       300);
   for (auto _ : state) {
-    sw.receive(0, pkt);
+    sw.receive(0, net::Packet(pkt));
     sched.run(64);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

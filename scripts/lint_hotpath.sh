@@ -1,12 +1,18 @@
 #!/usr/bin/env bash
-# Hot-path allocation lint for src/sim/, src/runtime/ and the scenario
-# replay loop (src/workload/storm_source.*).
+# Hot-path lint for src/sim/, src/runtime/ and the scenario replay loop
+# (src/workload/storm_source.*), plus a packet-handoff check over the
+# packet path (src/net, src/topo, src/core, src/runtime).
 #
 # The event kernel's per-event path must not allocate: no heap allocation
 # (new/make_unique/make_shared/malloc), no std::function (type-erased heap
 # closures — use sim::InlineCallback), no std::deque/std::list (per-node
 # allocation — use sim::RingQueue). PR 2 removed these from the hot path;
 # this check keeps them out.
+#
+# Packets move from the storm source to the sink in one pooled buffer, by
+# rvalue reference: a by-value `net::Packet` parameter or a
+# `std::function<void(net::Packet)>` on the packet path constructs (and
+# destroys) a Packet shell per hop. Take `net::Packet&&` instead.
 #
 # Setup-time code (constructors that run once per simulation) may carry an
 # explicit `// hotpath-ok: <reason>` annotation on the offending line.
@@ -32,13 +38,18 @@ files=$(
        src/core/dispatch_plan.hpp
   } | sort
 )
+packet_files=$(
+  find src/net src/topo src/core src/runtime -name '*.hpp' -o -name '*.cpp' |
+    sort
+)
 status=0
 
 check() {
   local pattern="$1"
   local label="$2"
+  local scope="${3:-$files}"
   local hits
-  hits=$(for f in $files; do
+  hits=$(for f in $scope; do
     awk -v pat="$pattern" -v f="$f" '
       /hotpath-ok/ { next }
       {
@@ -67,7 +78,15 @@ check '(^|[^[:alnum:]_:])new[[:space:](]' \
 check '(make_unique|make_shared|[^[:alnum:]_](m|c|re)alloc[[:space:]]*\()' \
   'heap allocation (make_unique/make_shared/malloc family)'
 
+# A Packet parameter by value: `(net::Packet p`, `, Packet pkt)` — in
+# functions and lambdas alike; references and temporaries do not match.
+check '[(,][[:space:]]*(const[[:space:]]+)?(net::)?Packet[[:space:]]+[[:alnum:]_]+[[:space:]]*[,)=]' \
+  'net::Packet parameter by value (take net::Packet&&)' "$packet_files"
+check 'function<void\([^)]*Packet\)>' \
+  'std::function<void(net::Packet)> (take net::Packet&&)' "$packet_files"
+
 if [ "$status" -eq 0 ]; then
-  echo "lint_hotpath: OK ($(echo "$files" | wc -l) files checked)"
+  all=$(printf '%s\n%s\n' "$files" "$packet_files" | sort -u | wc -l)
+  echo "lint_hotpath: OK ($all files checked)"
 fi
 exit "$status"

@@ -247,7 +247,7 @@ DriveLog drive_all(core::EventProgram& program, RecordingContext& ctx,
   const std::size_t repeats = std::max<std::size_t>(1, options.ingress_repeats);
   for (const Stimulus& s : stimuli) {
     for (std::size_t rep = 0; rep < repeats; ++rep) {
-      pisa::Phv phv = parser.parse(s.packet);
+      pisa::Phv phv = parser.parse(net::Packet(s.packet));
       if (phv.parse_error) {
         break;
       }
@@ -256,7 +256,7 @@ DriveLog drive_all(core::EventProgram& program, RecordingContext& ctx,
     }
   }
   for (const Stimulus& s : stimuli) {
-    pisa::Phv phv = parser.parse(s.packet);
+    pisa::Phv phv = parser.parse(net::Packet(s.packet));
     if (phv.parse_error) {
       continue;
     }
@@ -266,7 +266,7 @@ DriveLog drive_all(core::EventProgram& program, RecordingContext& ctx,
         drive_packet(program, ctx, Handler::kEgress, s.name, phv));
   }
   for (const Stimulus& s : stimuli) {
-    pisa::Phv phv = parser.parse(s.packet);
+    pisa::Phv phv = parser.parse(net::Packet(s.packet));
     if (phv.parse_error) {
       continue;
     }
@@ -599,7 +599,7 @@ std::vector<ChainRun> simulate_chains(core::EventProgram& program,
 
   std::vector<ChainRun> runs;
   for (const Stimulus& s : make_stimuli()) {
-    pisa::Phv phv = parser.parse(s.packet);
+    pisa::Phv phv = parser.parse(net::Packet(s.packet));
     if (phv.parse_error) {
       continue;
     }

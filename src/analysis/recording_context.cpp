@@ -2,7 +2,7 @@
 
 namespace edp::analysis {
 
-bool RecordingContext::inject_packet(net::Packet packet) {
+bool RecordingContext::inject_packet(net::Packet&& packet) {
   const bool ok = config_.event_architecture;
   if (!ok) {
     ++refused_;
@@ -12,7 +12,7 @@ bool RecordingContext::inject_packet(net::Packet packet) {
   return ok;
 }
 
-bool RecordingContext::send_packet(net::Packet packet, std::uint16_t port,
+bool RecordingContext::send_packet(net::Packet&& packet, std::uint16_t port,
                                    std::uint8_t qid) {
   const bool ok = config_.event_architecture;
   if (!ok) {

@@ -103,8 +103,8 @@ class RecordingContext : public core::EventContext {
     return config_.queue_bytes;
   }
 
-  bool inject_packet(net::Packet packet) override;
-  bool send_packet(net::Packet packet, std::uint16_t port,
+  bool inject_packet(net::Packet&& packet) override;
+  bool send_packet(net::Packet&& packet, std::uint16_t port,
                    std::uint8_t qid) override;
 
   core::TimerId set_periodic_timer(sim::Time period,

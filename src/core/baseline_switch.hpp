@@ -35,13 +35,14 @@ class BaselineSwitch {
 
   // Facade for the facilities a baseline architecture really has.
   void set_program(EventProgram* program) { sw_.set_program(program); }
-  void connect_tx(std::uint16_t port, std::function<void(net::Packet)> tx) {
+  void connect_tx(std::uint16_t port,
+                  std::function<void(net::Packet&&)> tx) {
     sw_.connect_tx(port, std::move(tx));
   }
-  void receive(std::uint16_t port, net::Packet packet) {
+  void receive(std::uint16_t port, net::Packet&& packet) {
     sw_.receive(port, std::move(packet));
   }
-  void inject_from_control_plane(net::Packet packet) {
+  void inject_from_control_plane(net::Packet&& packet) {
     sw_.inject_from_control_plane(std::move(packet));
   }
   void set_link_status(std::uint16_t port, bool up) {

@@ -26,7 +26,7 @@ EventMerger::EventMerger(sim::Scheduler& sched, MergerConfig config)
                    });
 }
 
-bool EventMerger::submit_packet(net::Packet packet, PacketOrigin origin) {
+bool EventMerger::submit_packet(net::Packet&& packet, PacketOrigin origin) {
   if (packets_.size() >= config_.packet_fifo_depth) {
     ++packet_drops_;
     return false;

@@ -102,7 +102,7 @@ class EventMerger {
 
   /// Submit a packet for pipeline processing. False (and counted) if the
   /// ingress backlog is full.
-  bool submit_packet(net::Packet packet, PacketOrigin origin);
+  bool submit_packet(net::Packet&& packet, PacketOrigin origin);
 
   /// Submit a non-packet event. False (and counted) if that kind's FIFO is
   /// full — a genuinely dropped event, as in hardware.

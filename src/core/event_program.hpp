@@ -74,11 +74,11 @@ class EventContext {
   /// Inject a program-built packet into the pipeline as a GeneratedPacket
   /// event (it will be parsed and handled by on_generated). Returns false
   /// on a baseline architecture (no generation support).
-  virtual bool inject_packet(net::Packet packet) = 0;
+  virtual bool inject_packet(net::Packet&& packet) = 0;
 
   /// Enqueue a program-built packet directly to (port, qid), bypassing the
   /// ingress pipeline (egress injection). False on baseline architectures.
-  virtual bool send_packet(net::Packet packet, std::uint16_t port,
+  virtual bool send_packet(net::Packet&& packet, std::uint16_t port,
                            std::uint8_t qid = 0) = 0;
 
   /// Timer facilities (TimerExpiration events). Return 0 on baseline
@@ -93,7 +93,8 @@ class EventContext {
   /// baseline architectures.
   virtual GeneratorId add_generator(PacketGenerator::Config config) = 0;
   virtual void trigger_generator(GeneratorId id, std::uint64_t n = 1) = 0;
-  virtual bool set_generator_template(GeneratorId id, net::Packet tmpl) = 0;
+  virtual bool set_generator_template(
+      GeneratorId id, net::Packet tmpl) = 0;  // hotpath-ok: set-up
 
   /// Raise a user event (delivered to on_user via the Event Merger).
   virtual bool raise_user_event(const UserEventData& data) = 0;

@@ -116,7 +116,7 @@ EventSwitch::EventSwitch(sim::Scheduler& sched, EventSwitchConfig config)
     merger_.submit_events(timer_burst_.data(), timer_burst_.size());
   };
 
-  pktgen_.on_generate = [this](GeneratorId, net::Packet pkt) {
+  pktgen_.on_generate = [this](GeneratorId, net::Packet&& pkt) {
     observe(EventKind::kGeneratedPacket);
     ++counters_.generated;
     pkt.meta().ingress_port = kPortGenerated;
@@ -134,12 +134,12 @@ void EventSwitch::set_program(EventProgram* program) {
 }
 
 void EventSwitch::connect_tx(std::uint16_t port,
-                             std::function<void(net::Packet)> tx) {
+                             std::function<void(net::Packet&&)> tx) {
   assert(port < ports_.size());
   ports_[port].tx = std::move(tx);
 }
 
-void EventSwitch::receive(std::uint16_t port, net::Packet packet) {
+void EventSwitch::receive(std::uint16_t port, net::Packet&& packet) {
   assert(port < ports_.size());
   ++counters_.rx_packets;
   observe(EventKind::kIngressPacket);
@@ -175,7 +175,7 @@ bool EventSwitch::control_event(const ControlEventData& data) {
   return merger_.submit_event(Event::control(data, sched_.now()));
 }
 
-void EventSwitch::inject_from_control_plane(net::Packet packet) {
+void EventSwitch::inject_from_control_plane(net::Packet&& packet) {
   ++counters_.rx_packets;
   observe(EventKind::kIngressPacket);
   packet.meta().ingress_port = kPortCpu;
@@ -223,7 +223,7 @@ std::size_t EventSwitch::queue_bytes(std::uint16_t port,
   return tm_.queue_bytes(port, qid);
 }
 
-bool EventSwitch::inject_packet(net::Packet packet) {
+bool EventSwitch::inject_packet(net::Packet&& packet) {
   if (!config_.event_architecture) {
     ++counters_.refused_ops;
     return false;
@@ -236,7 +236,7 @@ bool EventSwitch::inject_packet(net::Packet packet) {
   return merger_.submit_packet(std::move(packet), PacketOrigin::kGenerated);
 }
 
-bool EventSwitch::send_packet(net::Packet packet, std::uint16_t port,
+bool EventSwitch::send_packet(net::Packet&& packet, std::uint16_t port,
                               std::uint8_t qid) {
   if (!config_.event_architecture) {
     ++counters_.refused_ops;
@@ -291,7 +291,8 @@ void EventSwitch::trigger_generator(GeneratorId id, std::uint64_t n) {
   pktgen_.trigger(id, n);
 }
 
-bool EventSwitch::set_generator_template(GeneratorId id, net::Packet tmpl) {
+bool EventSwitch::set_generator_template(
+    GeneratorId id, net::Packet tmpl) {  // hotpath-ok: set-up
   return pktgen_.set_template(id, std::move(tmpl));
 }
 
@@ -496,7 +497,7 @@ void EventSwitch::route(pisa::Phv&& phv) {
     }
     ++counters_.recirculated;
     phv.std_meta.recirculate = false;
-    net::Packet pkt = deparser_.deparse(phv);
+    net::Packet pkt = deparser_.deparse_in_place(std::move(phv));
     ++pkt.meta().recirc_count;
     merger_.submit_packet(std::move(pkt), PacketOrigin::kRecirculated);
     return;
@@ -510,11 +511,8 @@ void EventSwitch::route(pisa::Phv&& phv) {
   const std::uint8_t qid = phv.std_meta.qid;
 
   if (phv.std_meta.mcast_group != 0) {
-    // Packet replication engine: one independent copy per group member.
-    // Each enqueue copies `wire` — replicas each own a copy, and the copy
-    // keeps the pooled deparse buffer recycling locally instead of being
-    // pinned in the traffic manager while queues build up (see the replay
-    // steady-state allocation gauge).
+    // Packet replication engine: one independent copy per group member,
+    // each in its own pooled buffer.
     const auto it = mcast_.find(phv.std_meta.mcast_group);
     if (it == mcast_.end()) {
       ++counters_.bad_port_drops;
@@ -538,11 +536,9 @@ void EventSwitch::route(pisa::Phv&& phv) {
     return;
   }
 
-  // Unicast: deparse straight into the queued packet's own (plain, non-
-  // pooled) buffer — no intermediate pooled emit + copy-out. The queue
-  // owning a plain buffer is also what the replay steady-state allocation
-  // gauge wants: packets resident in the traffic manager must not pin
-  // pooled buffers while queues build up.
+  // Unicast: the packet keeps its one buffer. Field rewrites are
+  // deparsed in place and the buffer moves into the queue; a changed
+  // header layout falls back to a fresh emit.
   const std::uint16_t port = phv.std_meta.egress_port;
   if (port >= ports_.size() || qid >= config_.queues_per_port) {
     ++counters_.bad_port_drops;
@@ -551,7 +547,7 @@ void EventSwitch::route(pisa::Phv&& phv) {
   tm_::QueuedPacket qp;
   qp.rank = phv.std_meta.pifo_rank;
   qp.deq_meta = deq_meta;
-  deparser_.deparse_into(phv, qp.packet);
+  qp.packet = deparser_.deparse_in_place(std::move(phv));
   if (tm_.enqueue(port, qid, std::move(qp), enq_meta, sched_.now())) {
     try_transmit(port);
   }
@@ -592,7 +588,7 @@ void EventSwitch::try_transmit(std::uint16_t port) {
           merger_.submit_packet(std::move(clone),
                                 PacketOrigin::kRecirculated);
         }
-        pkt = deparser_.deparse(phv);
+        pkt = deparser_.deparse_in_place(std::move(phv));
       } else {
         pkt = std::move(phv.packet);  // pass through unmodified
       }

@@ -110,10 +110,10 @@ class EventSwitch final : public EventContext {
 
   /// Connect port `port`'s transmit side (called with each outgoing packet
   /// after serialization completes).
-  void connect_tx(std::uint16_t port, std::function<void(net::Packet)> tx);
+  void connect_tx(std::uint16_t port, std::function<void(net::Packet&&)> tx);
 
   /// Deliver a packet to port `port` (called by the attached link).
-  void receive(std::uint16_t port, net::Packet packet);
+  void receive(std::uint16_t port, net::Packet&& packet);
 
   /// Link layer notification; raises a LinkStatusChange event.
   void set_link_status(std::uint16_t port, bool up);
@@ -128,7 +128,7 @@ class EventSwitch final : public EventContext {
   /// Control-plane packet-out: inject a packet into the ingress pipeline
   /// from the CPU port (available on every architecture — this is how a
   /// baseline CP emulates generation, per §6 Tofino discussion).
-  void inject_from_control_plane(net::Packet packet);
+  void inject_from_control_plane(net::Packet&& packet);
 
   /// Data-plane -> control-plane messages (program punts).
   std::function<void(const ControlEventData&)> on_punt;
@@ -163,15 +163,16 @@ class EventSwitch final : public EventContext {
   bool link_up(std::uint16_t port) const override;
   std::size_t queue_bytes(std::uint16_t port,
                           std::uint8_t qid) const override;
-  bool inject_packet(net::Packet packet) override;
-  bool send_packet(net::Packet packet, std::uint16_t port,
+  bool inject_packet(net::Packet&& packet) override;
+  bool send_packet(net::Packet&& packet, std::uint16_t port,
                    std::uint8_t qid) override;
   TimerId set_periodic_timer(sim::Time period, std::uint64_t cookie) override;
   TimerId set_oneshot_timer(sim::Time delay, std::uint64_t cookie) override;
   bool cancel_timer(TimerId id) override;
   GeneratorId add_generator(PacketGenerator::Config config) override;
   void trigger_generator(GeneratorId id, std::uint64_t n) override;
-  bool set_generator_template(GeneratorId id, net::Packet tmpl) override;
+  bool set_generator_template(
+      GeneratorId id, net::Packet tmpl) override;  // hotpath-ok: set-up
   bool raise_user_event(const UserEventData& data) override;
   void notify_control_plane(const ControlEventData& msg) override;
 
@@ -206,7 +207,7 @@ class EventSwitch final : public EventContext {
   struct PortState {
     bool link_up = true;
     bool busy = false;
-    std::function<void(net::Packet)> tx;
+    std::function<void(net::Packet&&)> tx;
   };
 
   /// One pipeline slot: parse/dispatch the packet, deliver events, route.

@@ -37,7 +37,7 @@ void PacketGenerator::emit(Gen& g, GeneratorId id) {
   ++g.emitted;
   ++generated_;
   if (on_generate) {
-    on_generate(id, g.config.packet_template);  // copy of the template
+    on_generate(id, net::Packet(g.config.packet_template));  // a clone
   }
 }
 

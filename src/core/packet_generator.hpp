@@ -34,7 +34,7 @@ class PacketGenerator {
 
   /// Emission callback: (generator id, cloned template). The EventSwitch
   /// routes these into the pipeline as GeneratedPacket events.
-  std::function<void(GeneratorId, net::Packet)> on_generate;
+  std::function<void(GeneratorId, net::Packet&&)> on_generate;
 
   /// Install and start a periodic generator.
   GeneratorId add(Config config);
@@ -48,7 +48,8 @@ class PacketGenerator {
 
   /// Replace the template of a running generator (e.g. update a probe's
   /// fields); takes effect on the next emission.
-  bool set_template(GeneratorId id, net::Packet packet_template);
+  bool set_template(GeneratorId id,
+                    net::Packet packet_template);  // hotpath-ok: set-up
 
   std::uint64_t generated() const { return generated_; }
   std::size_t active() const { return gens_.size(); }

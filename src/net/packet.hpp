@@ -7,21 +7,30 @@
 #pragma once
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "sim/object_pool.hpp"
 #include "sim/time.hpp"
 
 namespace edp::net {
 
-/// Process-wide counters for the pooled packet payload buffers (see
-/// packet.cpp). `allocated` is the number of acquires the pool could not
-/// serve from a recycled buffer — i.e. real allocator traffic. Benches
-/// sample this before/after a timed phase to assert the steady state runs
-/// at zero allocations per event.
+/// Process-wide counters for the pooled packet buffers (see packet.cpp).
+/// `acquired` counts every buffer a packet took (construction, copy, or
+/// growth past its capacity); `reused` the ones the pool served from a
+/// recycled buffer or its reserved slab; `allocated` the misses — real
+/// allocator traffic. Benches sample this before/after a timed phase to
+/// assert the steady state runs at zero allocations per event.
 sim::PoolStats packet_buffer_pool_stats();
+
+/// Make sure the pool can serve `bytes` of packet buffers without touching
+/// the allocator: counts the free buffers it already holds and reserves
+/// one slab for the shortfall. The slab is carved lazily, so its untouched
+/// pages cost address space, not resident memory. Topology set-up calls
+/// this with the bound its queues and links can hold
+/// (topo::Spec::packet_buffer_bound_bytes).
+void reserve_packet_buffers(std::size_t bytes);
 
 /// Intrinsic (non-programmable) packet metadata, set by the device.
 struct PacketMeta {
@@ -34,30 +43,56 @@ struct PacketMeta {
 /// An owned, mutable packet. Cheap to move; copying duplicates the payload
 /// (used for multicast/broadcast and control-plane punts).
 ///
-/// Payload buffers are pooled: the sized constructor draws a recycled
-/// buffer and the destructor returns it, so in steady state packet churn
-/// performs no heap allocation. Moves are noexcept (required by the
-/// scheduler's InlineCallback slots, which relocate on growth).
+/// The bytes live in one pooled buffer: the sized constructor draws a
+/// recycled buffer and the destructor returns it, so in steady state packet
+/// churn performs no heap allocation. Growth past the buffer's capacity
+/// swaps in a larger pooled buffer, so the pool's counters see every
+/// buffer a packet takes. A moved-from packet owns no buffer, and its
+/// destructor is an inline no-op. Moves are noexcept (required by
+/// sim::InlineCallback, which relocates the closures that capture packets).
 class Packet {
  public:
   Packet() = default;
-  explicit Packet(std::vector<std::uint8_t> bytes) : bytes_(std::move(bytes)) {}
   /// An all-zero packet of `size` bytes (e.g. padding, carrier frames).
-  /// Draws its buffer from the process-wide pool.
   explicit Packet(std::size_t size);
+  /// A packet of `size` bytes with unspecified contents, for callers that
+  /// write every byte themselves (template stamping, deparsing).
+  static Packet uninitialized(std::size_t size);
 
   Packet(const Packet& o);
   Packet& operator=(const Packet& o);
   Packet(Packet&& o) noexcept
-      : bytes_(std::move(o.bytes_)), meta_(o.meta_) {}
-  Packet& operator=(Packet&& o) noexcept;
-  ~Packet();
+      : data_(o.data_), size_(o.size_), cap_(o.cap_), meta_(o.meta_) {
+    o.data_ = nullptr;
+    o.size_ = 0;
+    o.cap_ = 0;
+  }
+  Packet& operator=(Packet&& o) noexcept {
+    if (this != &o) {
+      if (data_ != nullptr) {
+        release();
+      }
+      data_ = o.data_;
+      size_ = o.size_;
+      cap_ = o.cap_;
+      meta_ = o.meta_;
+      o.data_ = nullptr;
+      o.size_ = 0;
+      o.cap_ = 0;
+    }
+    return *this;
+  }
+  ~Packet() {
+    if (data_ != nullptr) {
+      release();
+    }
+  }
 
-  std::size_t size() const { return bytes_.size(); }
-  bool empty() const { return bytes_.empty(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
-  std::span<const std::uint8_t> bytes() const { return bytes_; }
-  std::span<std::uint8_t> bytes() { return bytes_; }
+  std::span<const std::uint8_t> bytes() const { return {data_, size_}; }
+  std::span<std::uint8_t> bytes() { return {data_, size_}; }
 
   PacketMeta& meta() { return meta_; }
   const PacketMeta& meta() const { return meta_; }
@@ -71,89 +106,101 @@ class Packet {
   // compiler folds adjacent byte shuffles only when it can see the bodies.
 
   std::uint8_t u8(std::size_t off) const {
-    if (off >= bytes_.size()) {
+    if (off >= size_) {
       assert(false && "packet read out of range");
       return 0;
     }
-    return bytes_[off];
+    return data_[off];
   }
 
   std::uint16_t u16(std::size_t off) const {
-    if (off + 2 > bytes_.size()) {
+    if (off + 2 > size_) {
       assert(false && "packet read out of range");
       return 0;
     }
-    return static_cast<std::uint16_t>((bytes_[off] << 8) | bytes_[off + 1]);
+    return static_cast<std::uint16_t>((data_[off] << 8) | data_[off + 1]);
   }
 
   std::uint32_t u32(std::size_t off) const {
-    if (off + 4 > bytes_.size()) {
+    if (off + 4 > size_) {
       assert(false && "packet read out of range");
       return 0;
     }
-    return (std::uint32_t{bytes_[off]} << 24) |
-           (std::uint32_t{bytes_[off + 1]} << 16) |
-           (std::uint32_t{bytes_[off + 2]} << 8) | bytes_[off + 3];
+    return (std::uint32_t{data_[off]} << 24) |
+           (std::uint32_t{data_[off + 1]} << 16) |
+           (std::uint32_t{data_[off + 2]} << 8) | data_[off + 3];
   }
 
   std::uint64_t u64(std::size_t off) const {
-    if (off + 8 > bytes_.size()) {
+    if (off + 8 > size_) {
       assert(false && "packet read out of range");
       return 0;
     }
     std::uint64_t v = 0;
     for (std::size_t i = 0; i < 8; ++i) {
-      v = (v << 8) | bytes_[off + i];
+      v = (v << 8) | data_[off + i];
     }
     return v;
   }
 
   void set_u8(std::size_t off, std::uint8_t v) {
-    if (off >= bytes_.size()) {
+    if (off >= size_) {
       assert(false && "packet write out of range");
       return;
     }
-    bytes_[off] = v;
+    data_[off] = v;
   }
 
   void set_u16(std::size_t off, std::uint16_t v) {
-    if (off + 2 > bytes_.size()) {
+    if (off + 2 > size_) {
       assert(false && "packet write out of range");
       return;
     }
-    bytes_[off] = static_cast<std::uint8_t>(v >> 8);
-    bytes_[off + 1] = static_cast<std::uint8_t>(v);
+    data_[off] = static_cast<std::uint8_t>(v >> 8);
+    data_[off + 1] = static_cast<std::uint8_t>(v);
   }
 
   void set_u32(std::size_t off, std::uint32_t v) {
-    if (off + 4 > bytes_.size()) {
+    if (off + 4 > size_) {
       assert(false && "packet write out of range");
       return;
     }
     for (std::size_t i = 0; i < 4; ++i) {
-      bytes_[off + i] = static_cast<std::uint8_t>(v >> (24 - 8 * i));
+      data_[off + i] = static_cast<std::uint8_t>(v >> (24 - 8 * i));
     }
   }
 
   void set_u64(std::size_t off, std::uint64_t v) {
-    if (off + 8 > bytes_.size()) {
+    if (off + 8 > size_) {
       assert(false && "packet write out of range");
       return;
     }
     for (std::size_t i = 0; i < 8; ++i) {
-      bytes_[off + i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+      data_[off + i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
     }
   }
 
-  /// Append raw bytes / grow with zeros.
+  /// Append raw bytes.
   void append(std::span<const std::uint8_t> data);
-  void pad_to(std::size_t size);
+  /// Set the size to `size` bytes: bytes past the old size are zero, bytes
+  /// past the new size are dropped.
+  void resize(std::size_t size);
+  /// Grow with zeros to at least `size` bytes.
+  void pad_to(std::size_t size) {
+    if (size_ < size) {
+      resize(size);
+    }
+  }
 
-  /// Drop the contents but keep the buffer's capacity (re-emit into the
-  /// same storage without reallocating).
-  void clear() { bytes_.clear(); }
-  /// Pre-size the buffer so a known-length re-emit grows it at most once.
-  void reserve(std::size_t n) { bytes_.reserve(n); }
+  /// Drop the contents but keep the buffer (re-emit into the same storage).
+  void clear() { size_ = 0; }
+  /// Make room for `n` bytes up front, so a known-length emit takes at
+  /// most one buffer.
+  void reserve(std::size_t n) {
+    if (n > cap_) {
+      grow(n);
+    }
+  }
 
   /// Remove `n` bytes from the front (decapsulation). n > size() clears.
   void strip_front(std::size_t n);
@@ -162,7 +209,14 @@ class Packet {
   void insert_zeros(std::size_t off, std::size_t n);
 
  private:
-  std::vector<std::uint8_t> bytes_;
+  /// Return the buffer to the pool (data_ != nullptr).
+  void release() noexcept;
+  /// Move the contents into a pooled buffer of at least `cap` bytes.
+  void grow(std::size_t cap);
+
+  std::uint8_t* data_ = nullptr;
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = 0;
   PacketMeta meta_;
 };
 

@@ -1,6 +1,9 @@
 #include "net/packet_builder.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
+#include <cstring>
 
 namespace edp::net {
 namespace {
@@ -15,10 +18,7 @@ std::size_t extend(Packet& p, std::size_t bytes) {
 
 }  // namespace
 
-PacketBuilder::PacketBuilder()
-    // Start from a pooled zero-size buffer so layer-by-layer growth runs in
-    // recycled capacity instead of allocating per packet.
-    : pkt_(std::size_t{0}), ipv4_off_(SIZE_MAX), udp_off_(SIZE_MAX) {}
+PacketBuilder::PacketBuilder() : ipv4_off_(SIZE_MAX), udp_off_(SIZE_MAX) {}
 
 PacketBuilder& PacketBuilder::ethernet(MacAddress src, MacAddress dst,
                                        std::uint16_t ether_type) {
@@ -138,28 +138,76 @@ Packet PacketBuilder::build() {
     udp.length = static_cast<std::uint16_t>(pkt_.size() - udp_off_);
     udp.encode(pkt_, udp_off_);
   }
-  Packet out = std::move(pkt_);
-  pkt_ = Packet{std::size_t{0}};
+  Packet out = std::move(pkt_);  // leaves pkt_ empty for the next build
   ipv4_off_ = udp_off_ = SIZE_MAX;
   min_size_ = 0;
   return out;
 }
 
+namespace {
+
+constexpr std::size_t kUdpHeaders =
+    EthernetHeader::kSize + Ipv4Header::kSize + UdpHeader::kSize;
+constexpr std::size_t kIpv4Off = EthernetHeader::kSize;
+constexpr std::size_t kUdpOff = kIpv4Off + Ipv4Header::kSize;
+/// Template payload: 16 periods of PacketBuilder::payload's 0..255 ramp. The
+/// ramp restarts every 256 bytes, so longer payloads repeat the template.
+constexpr std::size_t kTemplatePayload = 4096;
+
+/// The frame make_udp_packet stamps from: the PacketBuilder chain's output
+/// for the largest template payload, with zero addresses and ports. Only
+/// the addresses, ports, lengths and IPv4 checksum differ per packet.
+const std::array<std::uint8_t, kUdpHeaders + kTemplatePayload>&
+udp_template() {
+  static const auto bytes = [] {
+    const Packet p = PacketBuilder()
+                         .ethernet(MacAddress::from_u64(0x020000000001),
+                                   MacAddress::from_u64(0x020000000002))
+                         .ipv4(Ipv4Address(0), Ipv4Address(0), kIpProtoUdp)
+                         .udp(0, 0)
+                         .payload(kTemplatePayload)
+                         .build();
+    std::array<std::uint8_t, kUdpHeaders + kTemplatePayload> b{};
+    std::copy(p.bytes().begin(), p.bytes().end(), b.begin());
+    return b;
+  }();
+  return bytes;
+}
+
+}  // namespace
+
 Packet make_udp_packet(Ipv4Address src, Ipv4Address dst,
                        std::uint16_t src_port, std::uint16_t dst_port,
                        std::size_t total_size) {
-  constexpr std::size_t kHeaders =
-      EthernetHeader::kSize + Ipv4Header::kSize + UdpHeader::kSize;
-  const std::size_t payload =
-      total_size > kHeaders ? total_size - kHeaders : 0;
-  return PacketBuilder()
-      .ethernet(MacAddress::from_u64(0x020000000001),
-                MacAddress::from_u64(0x020000000002))
-      .ipv4(src, dst, kIpProtoUdp)
-      .udp(src_port, dst_port)
-      .payload(payload)
-      .pad_to(total_size)
-      .build();
+  // Same bytes as PacketBuilder().ethernet().ipv4().udp().payload()
+  // .pad_to(total_size).build(), written once into one exact-size buffer:
+  // copy the template, then patch what varies.
+  const auto& tmpl = udp_template();
+  const std::size_t size = std::max(total_size, kUdpHeaders);
+  Packet p = Packet::uninitialized(size);
+  std::uint8_t* out = p.bytes().data();
+  std::size_t done = std::min(size, tmpl.size());
+  std::memcpy(out, tmpl.data(), done);
+  while (done < size) {
+    const std::size_t n = std::min(size - done, kTemplatePayload);
+    std::memcpy(out + done, tmpl.data() + kUdpHeaders, n);
+    done += n;
+  }
+
+  Ipv4Header ip;
+  ip.src = src;
+  ip.dst = dst;
+  ip.protocol = kIpProtoUdp;
+  ip.total_length = static_cast<std::uint16_t>(size - kIpv4Off);
+  ip.update_checksum();
+  p.set_u16(kIpv4Off + 2, ip.total_length);
+  p.set_u16(kIpv4Off + 10, ip.checksum);
+  p.set_u32(kIpv4Off + 12, src.value());
+  p.set_u32(kIpv4Off + 16, dst.value());
+  p.set_u16(kUdpOff, src_port);
+  p.set_u16(kUdpOff + 2, dst_port);
+  p.set_u16(kUdpOff + 4, static_cast<std::uint16_t>(size - kUdpOff));
+  return p;
 }
 
 }  // namespace edp::net

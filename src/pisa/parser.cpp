@@ -246,7 +246,7 @@ void Parser::parse_standard(Phv& phv) {
   return accept(off);
 }
 
-Phv Parser::parse(net::Packet packet) const {
+Phv Parser::parse(net::Packet&& packet) const {
   Phv phv;
   phv.std_meta.packet_length = static_cast<std::uint32_t>(packet.size());
   phv.std_meta.ingress_port = packet.meta().ingress_port;

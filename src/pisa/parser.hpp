@@ -52,7 +52,7 @@ class Parser {
   /// Run the state machine from "start". On reject/truncation the PHV is
   /// returned with `parse_error` set. Also fills packet_length,
   /// ingress_port and ingress_timestamp from the packet metadata.
-  Phv parse(net::Packet packet) const;
+  Phv parse(net::Packet&& packet) const;
 
   /// Loop guard: maximum state transitions per packet.
   static constexpr std::size_t kMaxSteps = 32;

@@ -29,6 +29,11 @@ ParallelRuntime::ParallelRuntime(const topo::Spec& spec, topo::ShardPlan plan,
          "plan predates the per-pair lookahead matrix; rebuild it with "
          "topo::plan_shards");
 
+  // Packets keep one pooled buffer each from source to sink; size the pool
+  // for everything the topology's queues and links can hold, so even the
+  // first run after start-up serves every packet without the allocator.
+  net::reserve_packet_buffers(spec.packet_buffer_bound_bytes());
+
   shards_.resize(n);
   channels_.resize(2 * n * n);
   pair_lookahead_ps_ = plan_.pair_lookahead_ps;
@@ -116,11 +121,11 @@ ParallelRuntime::ParallelRuntime(const topo::Spec& spec, topo::ShardPlan plan,
       topo::Host& ha = shards_[sa].net->host(shards_[sa].host_local[ls.a]);
       const auto a_local =
           static_cast<std::uint32_t>(shards_[sa].host_local[ls.a]);
-      ha.connect_tx([this, sa, sb, sched_a, delay, b_local, pb](net::Packet p) {
+      ha.connect_tx([this, sa, sb, sched_a, delay, b_local, pb](net::Packet&& p) {
         push(sa, sb, Msg{sched_a->now() + delay, /*to_host=*/false, b_local,
                          pb, std::move(p)});
       });
-      swb.connect_tx(pb, [this, sb, sa, sched_b, delay, a_local](net::Packet p) {
+      swb.connect_tx(pb, [this, sb, sa, sched_b, delay, a_local](net::Packet&& p) {
         push(sb, sa, Msg{sched_b->now() + delay, /*to_host=*/true, a_local, 0,
                          std::move(p)});
       });
@@ -130,11 +135,11 @@ ParallelRuntime::ParallelRuntime(const topo::Spec& spec, topo::ShardPlan plan,
       const auto a_local =
           static_cast<std::uint32_t>(shards_[sa].switch_local[ls.a]);
       const std::uint16_t pa = ls.pa;
-      swa.connect_tx(pa, [this, sa, sb, sched_a, delay, b_local, pb](net::Packet p) {
+      swa.connect_tx(pa, [this, sa, sb, sched_a, delay, b_local, pb](net::Packet&& p) {
         push(sa, sb, Msg{sched_a->now() + delay, /*to_host=*/false, b_local,
                          pb, std::move(p)});
       });
-      swb.connect_tx(pb, [this, sb, sa, sched_b, delay, a_local, pa](net::Packet p) {
+      swb.connect_tx(pb, [this, sb, sa, sched_b, delay, a_local, pa](net::Packet&& p) {
         push(sb, sa, Msg{sched_b->now() + delay, /*to_host=*/false, a_local,
                          pa, std::move(p)});
       });

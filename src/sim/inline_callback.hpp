@@ -8,8 +8,8 @@
 // (static_assert), so the zero-allocation property is enforced at build
 // time rather than decaying silently as captures grow.
 //
-// Requirements on the callable: nothrow-move-constructible (entries are
-// relocated when the scheduler's slot vector grows) and invocable as
+// Requirements on the callable: nothrow-move-constructible (callbacks are
+// relocated, e.g. from a batch into a scheduler slot) and invocable as
 // void(). Copy is intentionally unsupported — events fire exactly once, so
 // unlike std::function the callable may be move-only (e.g. capture a
 // net::Packet or std::unique_ptr by value without a shared_ptr wrapper).
@@ -35,20 +35,7 @@ class InlineCallback {
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, InlineCallback>>>
   InlineCallback(F&& fn) {  // NOLINT: implicit by design, like std::function
-    using Fn = std::decay_t<F>;
-    static_assert(sizeof(Fn) <= kCapacity,
-                  "closure exceeds InlineCallback storage: shrink the "
-                  "capture (capture pointers/indices, or box the state in a "
-                  "unique_ptr) or raise kCapacity");
-    static_assert(alignof(Fn) <= kAlign,
-                  "closure over-aligned for InlineCallback storage");
-    static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "closures must be nothrow-move-constructible (scheduler "
-                  "slots relocate on growth)");
-    static_assert(std::is_invocable_r_v<void, Fn&>,
-                  "InlineCallback requires a void() callable");
-    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
-    ops_ = &kOps<Fn>;
+    construct(std::forward<F>(fn));
   }
 
   InlineCallback(InlineCallback&& other) noexcept : ops_(other.ops_) {
@@ -75,6 +62,19 @@ class InlineCallback {
 
   ~InlineCallback() { reset(); }
 
+  /// Replace the held closure by one built directly in this storage from
+  /// `fn` — no temporary InlineCallback, so a closure that captures a
+  /// packet is moved exactly once on its way into a scheduler slot.
+  template <typename F>
+  void emplace(F&& fn) {
+    if constexpr (std::is_same_v<std::decay_t<F>, InlineCallback>) {
+      *this = std::move(fn);
+    } else {
+      reset();
+      construct(std::forward<F>(fn));
+    }
+  }
+
   /// Destroy the held closure (no-op when empty).
   void reset() noexcept {
     if (ops_ != nullptr) {
@@ -88,6 +88,24 @@ class InlineCallback {
   void operator()() { ops_->invoke(storage_); }
 
  private:
+  template <typename F>
+  void construct(F&& fn) {
+    using Fn = std::decay_t<F>;
+    static_assert(sizeof(Fn) <= kCapacity,
+                  "closure exceeds InlineCallback storage: shrink the "
+                  "capture (capture pointers/indices, or box the state in a "
+                  "unique_ptr) or raise kCapacity");
+    static_assert(alignof(Fn) <= kAlign,
+                  "closure over-aligned for InlineCallback storage");
+    static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                  "closures must be nothrow-move-constructible (callbacks "
+                  "are relocated)");
+    static_assert(std::is_invocable_r_v<void, Fn&>,
+                  "InlineCallback requires a void() callable");
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
+    ops_ = &kOps<Fn>;
+  }
+
   struct Ops {
     void (*invoke)(void* self);
     void (*relocate)(void* src, void* dst);  ///< move-construct + destroy src

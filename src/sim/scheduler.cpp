@@ -17,22 +17,25 @@ Scheduler::Scheduler(SchedulerOptions opts)
   heap_.reserve(kInitialCapacity);
   burst_scratch_.reserve(kInitialCapacity);
   sametick_scratch_.reserve(kInitialCapacity);
-  slots_.reserve(kInitialCapacity);
+  blocks_.reserve(kInitialCapacity >> kBlockBits);
   free_slots_.reserve(kInitialCapacity);
 }
 
-std::uint32_t Scheduler::mint_slot(InlineCallback fn) {
+std::uint32_t Scheduler::mint_slot() {
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+    slot = slot_count_++;
+    if ((slot >> kBlockBits) == blocks_.size()) {
+      // One block per 256 slots, only at a new high-water mark.
+      auto block = std::make_unique<Slot[]>(kBlockMask + 1);  // hotpath-ok
+      blocks_.push_back(std::move(block));
+    }
   }
-  Slot& s = slots_[slot];
+  Slot& s = slot_at(slot);
   assert(!s.live);
-  s.fn = std::move(fn);
   s.live = true;
   ++live_count_;
   return slot;
@@ -49,19 +52,6 @@ void Scheduler::queue_push(const QueueEntry& e) {
   heap_push(e);
 }
 
-EventId Scheduler::at(Time when, InlineCallback fn) {
-  assert(when >= now_ && "cannot schedule into the past");
-  const std::uint32_t slot = mint_slot(std::move(fn));
-  const std::uint32_t gen = slots_[slot].gen;
-  queue_push(QueueEntry{when, next_seq_++, slot, gen});
-  return make_id(gen, slot);
-}
-
-EventId Scheduler::after(Time delay, InlineCallback fn) {
-  assert(delay >= Time::zero());
-  return at(now_ + delay, std::move(fn));
-}
-
 void Scheduler::at_batch(BatchItem* items, std::size_t n) {
   // Sequence numbers are minted in array order, so the burst interleaves
   // with at() calls exactly as the equivalent loop of singles would.
@@ -73,10 +63,10 @@ void Scheduler::at_batch(BatchItem* items, std::size_t n) {
 bool Scheduler::cancel(EventId id) {
   const auto slot = static_cast<std::uint32_t>(id & 0xffffffffu);
   const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size()) {
+  if (slot >= slot_count_) {
     return false;
   }
-  Slot& s = slots_[slot];
+  Slot& s = slot_at(slot);
   // Only genuinely pending callbacks can be cancelled; fired, unknown, and
   // doubly-cancelled ids all fail the generation/liveness check.
   if (!s.live || s.gen != gen) {
@@ -93,8 +83,8 @@ bool Scheduler::cancel(EventId id) {
 std::size_t Scheduler::cancel_batch(const EventId* ids, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const auto slot = static_cast<std::uint32_t>(ids[i] & 0xffffffffu);
-    if (slot < slots_.size()) {
-      __builtin_prefetch(&slots_[slot], 1, 1);
+    if (slot < slot_count_) {
+      __builtin_prefetch(&slot_at(slot), 1, 1);
     }
   }
   std::size_t cancelled = 0;
@@ -185,9 +175,9 @@ std::size_t Scheduler::fire_tick(std::uint64_t t0, const Time* deadline,
     std::size_t w = 0;
     for (std::size_t r = 0; r < burst.size(); ++r) {
       if (r + 8 < burst.size()) {
-        __builtin_prefetch(&slots_[burst[r + 8].slot], 0, 1);
+        __builtin_prefetch(&slot_at(burst[r + 8].slot), 0, 1);
       }
-      const Slot& s = slots_[burst[r].slot];
+      const Slot& s = slot_at(burst[r].slot);
       if (s.live && s.gen == burst[r].gen) {
         burst[w++] = burst[r];
       }
@@ -220,7 +210,7 @@ std::size_t Scheduler::fire_tick(std::uint64_t t0, const Time* deadline,
       break;
     }
     const QueueEntry e = from_st ? st[0] : burst[i];
-    Slot& s = slots_[e.slot];
+    Slot& s = slot_at(e.slot);
     if (!s.live || s.gen != e.gen) {
       // Cancelled mid-burst: the slot moved on to a newer generation.
       if (from_st) {
@@ -253,7 +243,7 @@ std::size_t Scheduler::fire_tick(std::uint64_t t0, const Time* deadline,
     if (i + 8 < burst.size()) {
       // The slot was minted thousands of events ago and is cold by now;
       // hide the miss behind the current callback's work.
-      __builtin_prefetch(&slots_[burst[i + 8].slot], 1, 1);
+      __builtin_prefetch(&slot_at(burst[i + 8].slot), 1, 1);
     }
     // Retire the slot *before* invoking, so the callback observes its own
     // id as already fired: cancel(own_id) from within is a detected no-op.
@@ -268,8 +258,7 @@ std::size_t Scheduler::fire_tick(std::uint64_t t0, const Time* deadline,
     ++executed_;
     ++n_fired;
     s.fn();
-    // Re-index: the callback may have scheduled events and grown slots_.
-    slots_[e.slot].fn.reset();
+    s.fn.reset();  // slots never move, so `s` is still this slot
     free_slots_.push_back(e.slot);
     // Entries the callback scheduled into this same tick carry when >= now()
     // and fresher seqs; drain them into the same-tick heap.
@@ -350,7 +339,7 @@ std::optional<Time> Scheduler::next_event_time() {
       bool found = false;
       QueueEntry best{};
       wheel_.visit_bucket(t, [&](const QueueEntry& e) {
-        const Slot& s = slots_[e.slot];
+        const Slot& s = slot_at(e.slot);
         if (s.live && s.gen == e.gen && (!found || entry_earlier(e, best))) {
           best = e;
           found = true;
@@ -367,7 +356,7 @@ std::optional<Time> Scheduler::next_event_time() {
   // see fire_tick), so always consult it as well and keep the minimum.
   while (!heap_.empty()) {
     const QueueEntry& top = heap_[0];
-    const Slot& s = slots_[top.slot];
+    const Slot& s = slot_at(top.slot);
     if (!s.live || s.gen != top.gen) {
       heap_pop();  // stale: collect and keep looking
       continue;

@@ -26,8 +26,10 @@
 //    of a binary heap, with all four children of a node in one cache line.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -80,11 +82,24 @@ class Scheduler {
   /// Current simulated time. Monotonically non-decreasing.
   Time now() const { return now_; }
 
-  /// Schedule `fn` at absolute time `when` (must be >= now()).
-  EventId at(Time when, InlineCallback fn);
+  /// Schedule `fn` at absolute time `when` (must be >= now()). The
+  /// closure (or InlineCallback) is built directly in its callback slot.
+  template <typename F>
+  EventId at(Time when, F&& fn) {
+    assert(when >= now_ && "cannot schedule into the past");
+    const std::uint32_t slot = mint_slot();
+    Slot& s = slot_at(slot);
+    s.fn.emplace(std::forward<F>(fn));
+    queue_push(QueueEntry{when, next_seq_++, slot, s.gen});
+    return make_id(s.gen, slot);
+  }
 
   /// Schedule `fn` after a relative delay (>= 0).
-  EventId after(Time delay, InlineCallback fn);
+  template <typename F>
+  EventId after(Time delay, F&& fn) {
+    assert(delay >= Time::zero());
+    return at(now_ + delay, std::forward<F>(fn));
+  }
 
   /// Bulk-insert a burst of entries in one call: slots are minted and
   /// sequence numbers assigned in array order, so the burst is totally
@@ -167,7 +182,20 @@ class Scheduler {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
 
-  std::uint32_t mint_slot(InlineCallback fn);
+  /// Slots live in fixed blocks that never move: a running closure stays
+  /// where it is while its callback schedules (and so mints) more slots,
+  /// and growth relocates no pending closure.
+  static constexpr unsigned kBlockBits = 8;
+  static constexpr std::uint32_t kBlockMask = (1u << kBlockBits) - 1;
+  Slot& slot_at(std::uint32_t i) {
+    return blocks_[i >> kBlockBits][i & kBlockMask];
+  }
+  const Slot& slot_at(std::uint32_t i) const {
+    return blocks_[i >> kBlockBits][i & kBlockMask];
+  }
+
+  /// Claim a free slot (marked live, closure empty) and return its index.
+  std::uint32_t mint_slot();
 
   /// Route an entry to the wheel (near horizon) or the heap (far future).
   void queue_push(const QueueEntry& e);
@@ -201,7 +229,8 @@ class Scheduler {
   std::vector<QueueEntry> heap_;           ///< far-future overflow tier
   std::vector<QueueEntry> burst_scratch_;  ///< fire_tick working set
   std::vector<QueueEntry> sametick_scratch_;  ///< min-heap of same-tick adds
-  std::vector<Slot> slots_;
+  std::vector<std::unique_ptr<Slot[]>> blocks_;
+  std::uint32_t slot_count_ = 0;  ///< slots ever minted (all blocks' prefix)
   std::vector<std::uint32_t> free_slots_;  ///< LIFO: hottest slot reused first
 };
 

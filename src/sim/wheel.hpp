@@ -9,11 +9,14 @@
 // heap; as the cursor advances, heap entries whose tick has come within
 // the horizon cascade into the wheel.
 //
-// Buckets are flat vectors that retain capacity across laps: inserts into
-// a dense bucket append contiguously (mod_timer-style reset churn lands
-// whole cancel/re-arm batches in one bucket), and draining is a single
-// sequential copy the hardware prefetcher streams — unlike a linked
-// node-slab, whose drain is a serial dependent-load chain.
+// Buckets are chains of fixed-size chunks drawn from one shared chunk
+// arena: inserts into a dense bucket append contiguously within a chunk
+// (mod_timer-style reset churn lands whole cancel/re-arm batches in one
+// bucket), and a drain copies kChunkEntries entries per dependent load.
+// Drained chunks return to the arena's freelist, so the arena only grows
+// when the number of pending entries reaches a new high — per-bucket
+// vectors would instead each grow the first time *their* bucket sees a
+// bigger burst, long after warmup.
 //
 // Exactness: buckets hold full-precision (when, seq) keys — quantization
 // only decides *where* an entry is stored, never *when* it fires. The
@@ -96,7 +99,18 @@ class WheelTier {
     assert(tick >= cursor_ && covers(tick));
     ensure_init();
     const std::size_t s = tick & kMask;
-    buckets_[s].push_back(e);  // hotpath-ok: capacity retained across laps
+    Bucket& b = buckets_[s];
+    if (b.tail == kNil || chunks_[b.tail].n == kChunkEntries) {
+      const std::uint32_t c = new_chunk();
+      if (b.tail == kNil) {
+        b.head = c;
+      } else {
+        chunks_[b.tail].next = c;
+      }
+      b.tail = c;
+    }
+    Chunk& t = chunks_[b.tail];
+    t.entries[t.n++] = e;
     words_[s >> 6] |= std::uint64_t{1} << (s & 63);
     ++count_;
   }
@@ -113,21 +127,28 @@ class WheelTier {
   /// Pre: initialized, which count() > 0 guarantees.
   template <typename F>
   void visit_bucket(std::uint64_t tick, F&& f) const {
-    for (const QueueEntry& e : buckets_[tick & kMask]) {
-      f(e);
+    for (std::uint32_t c = buckets_[tick & kMask].head; c != kNil;
+         c = chunks_[c].next) {
+      const Chunk& k = chunks_[c];
+      for (std::uint32_t i = 0; i < k.n; ++i) {
+        f(k.entries[i]);
+      }
     }
   }
 
-  /// Append the bucket's entries to `out` and empty it, retaining its
-  /// capacity so the steady state never re-allocates. Returns entry count.
+  /// Append the bucket's entries to `out` and empty it; its chunks return
+  /// to the arena. Returns the entry count.
   std::size_t take_bucket(std::uint64_t tick, std::vector<QueueEntry>& out) {
     assert(covers(tick));
     const std::size_t s = tick & kMask;
-    std::vector<QueueEntry>& b = buckets_[s];
-    const std::size_t n = b.size();
-    out.insert(out.end(), b.begin(), b.end());  // hotpath-ok: capacity kept
-    b.clear();
-    clear_bit(s);
+    std::size_t n = 0;
+    for (std::uint32_t c = buckets_[s].head; c != kNil; c = chunks_[c].next) {
+      const Chunk& k = chunks_[c];
+      // hotpath-ok: the scratch burst keeps its capacity across ticks
+      out.insert(out.end(), k.entries, k.entries + k.n);
+      n += k.n;
+    }
+    free_bucket(s);
     count_ -= n;
     return n;
   }
@@ -135,9 +156,10 @@ class WheelTier {
   /// Drop every entry in a bucket (all known stale).
   void clear_bucket(std::uint64_t tick) {
     const std::size_t s = tick & kMask;
-    count_ -= buckets_[s].size();
-    buckets_[s].clear();
-    clear_bit(s);
+    for (std::uint32_t c = buckets_[s].head; c != kNil; c = chunks_[c].next) {
+      count_ -= chunks_[c].n;
+    }
+    free_bucket(s);
   }
 
   /// Earliest occupied tick at or after the cursor; nullopt when empty.
@@ -170,20 +192,56 @@ class WheelTier {
   }
 
  private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  static constexpr std::uint32_t kChunkEntries = 8;
+
+  struct Chunk {
+    QueueEntry entries[kChunkEntries];
+    std::uint32_t n = 0;
+    std::uint32_t next = kNil;
+  };
+  struct Bucket {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+
   void ensure_init() {
     if (buckets_.empty()) {
       buckets_.resize(kSlots);
       words_.assign(kWords, 0);
     }
   }
-  void clear_bit(std::size_t s) {
+
+  std::uint32_t new_chunk() {
+    std::uint32_t c = free_chunk_;
+    if (c != kNil) {
+      free_chunk_ = chunks_[c].next;
+      chunks_[c].n = 0;
+      chunks_[c].next = kNil;
+    } else {
+      c = static_cast<std::uint32_t>(chunks_.size());
+      chunks_.emplace_back();  // hotpath-ok: grows only at a new high-water
+    }
+    return c;
+  }
+
+  /// Return bucket s's chunk chain to the freelist and mark it empty.
+  void free_bucket(std::size_t s) {
+    Bucket& b = buckets_[s];
+    if (b.head != kNil) {
+      chunks_[b.tail].next = free_chunk_;
+      free_chunk_ = b.head;
+    }
+    b = Bucket{};
     words_[s >> 6] &= ~(std::uint64_t{1} << (s & 63));
   }
 
   unsigned res_bits_;
   std::uint64_t cursor_ = 0;  ///< ticks < cursor_ are in the past
   std::size_t count_ = 0;
-  std::vector<std::vector<QueueEntry>> buckets_;  ///< lazily sized to kSlots
+  std::vector<Bucket> buckets_;  ///< lazily sized to kSlots
+  std::vector<Chunk> chunks_;    ///< the shared chunk arena
+  std::uint32_t free_chunk_ = kNil;
   std::vector<std::uint64_t> words_;  ///< bit set ⟺ bucket nonempty
 };
 

@@ -87,7 +87,11 @@ class PacketQueue {
 /// Plain FIFO queue.
 class FifoQueue final : public PacketQueue {
  public:
-  explicit FifoQueue(QueueLimits limits) : PacketQueue(limits) {}
+  /// The ring is reserved for the packet limit up front: it never grows
+  /// mid-run, and its untouched slots cost no resident memory.
+  explicit FifoQueue(QueueLimits limits) : PacketQueue(limits) {
+    q_.reserve(limits.max_packets);
+  }
 
   std::size_t front_size() const override {
     return q_.empty() ? 0 : q_.front().packet.size();

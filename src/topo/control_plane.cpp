@@ -23,7 +23,7 @@ void ControlPlaneAgent::send_control_event(core::EventSwitch& sw,
 }
 
 void ControlPlaneAgent::inject_packet(core::EventSwitch& sw,
-                                      net::Packet packet) {
+                                      net::Packet&& packet) {
   ++to_switch_;
   ++injected_;
   sched_.after(config_.channel_latency, [&sw, p = std::move(packet)]() mutable {

@@ -42,7 +42,7 @@ class ControlPlaneAgent {
 
   /// CP -> switch packet-out (arrives after the channel latency). This is
   /// how a baseline architecture emulates packet generation (§6).
-  void inject_packet(core::EventSwitch& sw, net::Packet packet);
+  void inject_packet(core::EventSwitch& sw, net::Packet&& packet);
 
   /// Run `fn` at the CP every `period` (e.g. periodic CMS reset, probe
   /// generation). Returns the task handle (caller keeps it alive).

@@ -6,10 +6,20 @@
 
 namespace edp::topo {
 
-Host::Host(sim::Scheduler& sched, Config config)
-    : sched_(sched), config_(std::move(config)) {}
+namespace {
+/// Transmit backlog reserved up front. A NIC queue has no limit to size
+/// it from; this covers traffic sources that overlap several line-rate
+/// trains. Untouched slots cost no resident memory (sim::RingQueue), and
+/// a deeper backlog still grows the ring.
+constexpr std::size_t kTxQueueReserve = 1024;
+}  // namespace
 
-void Host::send(net::Packet packet) {
+Host::Host(sim::Scheduler& sched, Config config)
+    : sched_(sched), config_(std::move(config)) {
+  tx_queue_.reserve(kTxQueueReserve);
+}
+
+void Host::send(net::Packet&& packet) {
   tx_queue_.push_back(std::move(packet));
   pump_tx();
 }
@@ -33,7 +43,7 @@ void Host::pump_tx() {
   });
 }
 
-void Host::receive(net::Packet packet) {
+void Host::receive(net::Packet&& packet) {
   ++rx_packets_;
   rx_bytes_ += packet.size();
   // Track per-UDP-port arrivals for experiment accounting.

@@ -35,15 +35,15 @@ class Host {
   net::Ipv4Address ip() const { return config_.ip; }
 
   /// Wire the NIC to a link direction (set by Network::connect).
-  void connect_tx(std::function<void(net::Packet)> tx) {
+  void connect_tx(std::function<void(net::Packet&&)> tx) {
     tx_ = std::move(tx);
   }
 
   /// Queue a packet for transmission (paced at the NIC rate).
-  void send(net::Packet packet);
+  void send(net::Packet&& packet);
 
   /// Entry point for packets arriving from the link.
-  void receive(net::Packet packet);
+  void receive(net::Packet&& packet);
 
   /// Application receive hook (runs after statistics are recorded).
   std::function<void(const net::Packet&)> on_receive;
@@ -61,7 +61,7 @@ class Host {
 
   sim::Scheduler& sched_;
   Config config_;
-  std::function<void(net::Packet)> tx_;
+  std::function<void(net::Packet&&)> tx_;
   sim::RingQueue<net::Packet> tx_queue_;
   bool tx_busy_ = false;
 

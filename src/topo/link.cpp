@@ -17,7 +17,7 @@ void Link::set_up(bool up) {
   }
 }
 
-void Link::send(net::Packet& p, bool to_b) {
+void Link::send(net::Packet&& p, bool to_b) {
   if (!up_) {
     ++dropped_down_;
     return;

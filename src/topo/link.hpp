@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "net/packet.hpp"
 #include "sim/scheduler.hpp"
@@ -25,7 +26,7 @@ class Link {
 
   /// One attachment point of the link.
   struct End {
-    std::function<void(net::Packet)> deliver;  ///< packet to the endpoint
+    std::function<void(net::Packet&&)> deliver;  ///< packet to the endpoint
     std::function<void(bool)> status;          ///< link state to the endpoint
   };
 
@@ -36,8 +37,8 @@ class Link {
   End& end_b() { return b_; }
 
   /// Called by endpoint A's transmitter; delivers to B after the delay.
-  void send_a_to_b(net::Packet p) { send(p, /*to_b=*/true); }
-  void send_b_to_a(net::Packet p) { send(p, /*to_b=*/false); }
+  void send_a_to_b(net::Packet&& p) { send(std::move(p), /*to_b=*/true); }
+  void send_b_to_a(net::Packet&& p) { send(std::move(p), /*to_b=*/false); }
 
   bool up() const { return up_; }
 
@@ -58,7 +59,7 @@ class Link {
   const Config& config() const { return config_; }
 
  private:
-  void send(net::Packet& p, bool to_b);
+  void send(net::Packet&& p, bool to_b);
 
   sim::Scheduler& sched_;
   Config config_;

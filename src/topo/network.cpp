@@ -24,17 +24,18 @@ std::size_t Network::connect_host(std::size_t h, std::size_t s,
   core::EventSwitch& swt = *switches_[s];
 
   // Host on side A, switch on side B.
-  host.connect_tx([&link](net::Packet p) { link.send_a_to_b(std::move(p)); });
-  link.end_b().deliver = [&swt, port](net::Packet p) {
+  host.connect_tx(
+      [&link](net::Packet&& p) { link.send_a_to_b(std::move(p)); });
+  link.end_b().deliver = [&swt, port](net::Packet&& p) {
     swt.receive(port, std::move(p));
   };
   link.end_b().status = [&swt, port](bool up) {
     swt.set_link_status(port, up);
   };
-  link.end_a().deliver = [&host](net::Packet p) {
+  link.end_a().deliver = [&host](net::Packet&& p) {
     host.receive(std::move(p));
   };
-  swt.connect_tx(port, [&link](net::Packet p) {
+  swt.connect_tx(port, [&link](net::Packet&& p) {
     link.send_b_to_a(std::move(p));
   });
   return links_.size() - 1;
@@ -52,7 +53,7 @@ bool Network::attach_pcap(std::size_t l, const std::string& path) {
   // Wrap both deliver directions; capture time is the delivery instant.
   for (Link::End* end : {&link.end_a(), &link.end_b()}) {
     auto inner = std::move(end->deliver);
-    end->deliver = [this, pcap, inner = std::move(inner)](net::Packet p) {
+    end->deliver = [this, pcap, inner = std::move(inner)](net::Packet&& p) {
       pcap->write(p, sched_.now());
       pcap->flush();  // a tap is a debugging aid: keep the file readable
       if (inner) {
@@ -72,12 +73,14 @@ std::size_t Network::connect_switches(std::size_t s1, std::uint16_t p1,
   core::EventSwitch& a = *switches_[s1];
   core::EventSwitch& b = *switches_[s2];
 
-  a.connect_tx(p1, [&link](net::Packet p) { link.send_a_to_b(std::move(p)); });
-  b.connect_tx(p2, [&link](net::Packet p) { link.send_b_to_a(std::move(p)); });
-  link.end_a().deliver = [&a, p1](net::Packet p) {
+  a.connect_tx(p1,
+               [&link](net::Packet&& p) { link.send_a_to_b(std::move(p)); });
+  b.connect_tx(p2,
+               [&link](net::Packet&& p) { link.send_b_to_a(std::move(p)); });
+  link.end_a().deliver = [&a, p1](net::Packet&& p) {
     a.receive(p1, std::move(p));
   };
-  link.end_b().deliver = [&b, p2](net::Packet p) {
+  link.end_b().deliver = [&b, p2](net::Packet&& p) {
     b.receive(p2, std::move(p));
   };
   link.end_a().status = [&a, p1](bool up) { a.set_link_status(p1, up); };

@@ -20,6 +20,34 @@ std::size_t Spec::connect_switches(std::size_t s1, std::uint16_t p1,
   return links_.size() - 1;
 }
 
+std::size_t Spec::packet_buffer_bound_bytes() const {
+  // Frames in merger backlogs, serializers and link pipes are charged at a
+  // 2 KiB buffer (the pool's largest fine size class: any frame up to the
+  // standard MTU); rounding a queued packet up to its size class costs at
+  // most 64 bytes.
+  constexpr std::size_t kFrame = 2048;
+  constexpr std::size_t kRounding = 64;
+  std::size_t bytes = 0;
+  for (const core::EventSwitchConfig& c : switches_) {
+    const std::size_t queues =
+        std::size_t{c.num_ports} * c.queues_per_port;
+    bytes += std::min(c.buffer.total_bytes,
+                      queues * c.queue_limits.max_bytes);
+    bytes += queues * c.queue_limits.max_packets * kRounding;
+    bytes += (c.merger.packet_fifo_depth + c.num_ports) * kFrame;
+  }
+  for (const LinkSpec& l : links_) {
+    // Both directions run at most at the switch side's port rate or the
+    // host's NIC rate.
+    double rate_bps = switches_[l.b].port_rate_bps;
+    rate_bps = std::max(rate_bps, l.host_side ? hosts_[l.a].nic_rate_bps
+                                              : switches_[l.a].port_rate_bps);
+    const double pipe = rate_bps * l.config.delay.as_seconds() / 8.0;
+    bytes += 2 * (static_cast<std::size_t>(pipe) + kFrame);
+  }
+  return bytes;
+}
+
 void Spec::instantiate(Network& net) const {
   for (const auto& sc : switches_) {
     net.add_switch(sc);

@@ -76,6 +76,15 @@ class Spec {
   /// returned Network indices equal the spec indices.
   void instantiate(Network& net) const;
 
+  /// Upper bound on the packet-buffer bytes the switches and links can
+  /// hold at once: each switch's traffic manager (its shared buffer, or
+  /// the sum of its queue byte limits if smaller, plus one size-class
+  /// step of rounding per admissible packet), its merger backlog and one
+  /// frame per transmitting port, and each link direction's pipe (rate x
+  /// delay plus one frame). Host transmit queues are unbounded and not
+  /// counted. Used to size the packet-buffer pool at set-up.
+  std::size_t packet_buffer_bound_bytes() const;
+
  private:
   std::vector<core::EventSwitchConfig> switches_;
   std::vector<Host::Config> hosts_;

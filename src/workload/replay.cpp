@@ -216,6 +216,8 @@ ScenarioOutcome replay(const ScenarioSpec& base_spec,
   rt.run_until(std::min(warmup, horizon));
   const std::uint64_t warm_events = rt.total_executed();
   const std::uint64_t warm_allocs = net::packet_buffer_pool_stats().allocated;
+  const std::uint64_t warm_heap =
+      options.heap_allocations != nullptr ? options.heap_allocations() : 0;
   for (sim::Time t = warmup; t < horizon;) {
     t = std::min(horizon, t + chunk);
     rt.run_until(t);
@@ -230,6 +232,10 @@ ScenarioOutcome replay(const ScenarioSpec& base_spec,
     }
   }
   const auto wall1 = std::chrono::steady_clock::now();
+  const std::uint64_t heap_allocs =
+      options.heap_allocations != nullptr
+          ? options.heap_allocations() - warm_heap
+          : 0;
 
   ScenarioOutcome out;
   out.app = app.name;
@@ -248,6 +254,10 @@ ScenarioOutcome replay(const ScenarioSpec& base_spec,
           : static_cast<double>(net::packet_buffer_pool_stats().allocated -
                                 warm_allocs) /
                 static_cast<double>(steady_events);
+  out.heap_allocations_per_event =
+      steady_events == 0 ? 0.0
+                         : static_cast<double>(heap_allocs) /
+                               static_cast<double>(steady_events);
 
   std::uint64_t h = 1469598103934665603ULL;
   for (const auto& src : sources) {

@@ -40,6 +40,10 @@ struct ReplayOptions {
   /// (AggregatedRegister::value_error_max) alongside the optimizer's static
   /// staleness-value-error bound, so tests can assert observed <= bound.
   bool record_value_error = true;
+  /// Optional process heap-allocation counter (e.g. a test's counting
+  /// global operator new). When set, the outcome reports heap allocations
+  /// per event over the same steady-state window as the pool gauge.
+  std::uint64_t (*heap_allocations)() = nullptr;
 };
 
 struct ScenarioOutcome {
@@ -67,6 +71,9 @@ struct ScenarioOutcome {
   /// Packet-buffer pool growth per event after the warmup chunk — the
   /// replay loop's allocation gauge (0 at steady state).
   double allocations_per_event = 0;
+  /// Every heap allocation per event in that window, from
+  /// ReplayOptions::heap_allocations (0 when no counter is given).
+  double heap_allocations_per_event = 0;
 
   // ---- optimizer differential observables (ReplayOptions::optimize) ------
   bool optimized = false;            ///< DUT ran the optimized program

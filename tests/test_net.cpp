@@ -2,7 +2,11 @@
 // flow identification, and the packet builder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "net/address.hpp"
 #include "net/checksum.hpp"
@@ -446,6 +450,114 @@ TEST(PacketBufferPool, CopyDuplicatesMoveSteals) {
   net::Packet stolen = std::move(p);
   EXPECT_EQ(stolen.u8(0), 0x42);
   EXPECT_EQ(stolen.size(), 100u);
+}
+
+TEST(PacketBufferPool, SmallBufferOnTopDoesNotBlockLargerAcquire) {
+  // A small buffer released last must not make a larger acquire miss while
+  // a large free buffer sits under it.
+  { Packet large(1500); }
+  { Packet small_a(62); Packet small_b(62); }
+  const sim::PoolStats before = packet_buffer_pool_stats();
+  for (int i = 0; i < 100; ++i) {
+    Packet p(1500);
+  }
+  const sim::PoolStats after = packet_buffer_pool_stats();
+  EXPECT_EQ(after.allocated, before.allocated);
+  EXPECT_EQ(after.reused - before.reused, 100u);
+}
+
+TEST(PacketBufferPool, ReleasedBuffersSurviveTeardownAndThreads) {
+  // More buffers than any thread cache holds, returned by a thread that
+  // then exits: the pool keeps all of them for the next run.
+  constexpr std::size_t kPackets = 6000;
+  std::thread([] {
+    std::vector<Packet> held;
+    held.reserve(kPackets);
+    for (std::size_t i = 0; i < kPackets; ++i) {
+      held.emplace_back(std::size_t{300});
+    }
+  }).join();
+  const sim::PoolStats before = packet_buffer_pool_stats();
+  std::vector<Packet> again;
+  again.reserve(kPackets);
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    again.emplace_back(std::size_t{300});
+  }
+  const sim::PoolStats after = packet_buffer_pool_stats();
+  EXPECT_EQ(after.allocated, before.allocated);
+  EXPECT_EQ(after.dropped, before.dropped);
+}
+
+TEST(PacketBufferPool, GrowthTakesACountedBuffer) {
+  Packet p;
+  const sim::PoolStats before = packet_buffer_pool_stats();
+  p.pad_to(40);
+  p.pad_to(1000);   // past the first buffer's capacity: a second acquire
+  p.pad_to(1000);   // no-op
+  p.append(std::vector<std::uint8_t>(8, 1));  // fits the 1024-byte class
+  const sim::PoolStats after = packet_buffer_pool_stats();
+  EXPECT_EQ(after.acquired - before.acquired, 2u);
+  EXPECT_EQ(after.released - before.released, 1u);
+  EXPECT_EQ(p.size(), 1008u);
+  EXPECT_EQ(p.u8(999), 0);
+  EXPECT_EQ(p.u8(1000), 1);
+}
+
+TEST(PacketBufferPool, ReservedSlabServesWithoutAllocating) {
+  // A fresh thread starts with an empty cache; after a reservation, even
+  // jumbo buffers the pool has never seen come from the slab. The
+  // reservation counts free buffers of every size class, so reserve well
+  // past what earlier tests left in the pool; untouched slab pages cost
+  // no resident memory.
+  std::thread([] {
+    reserve_packet_buffers(std::size_t{64} << 20);
+    const sim::PoolStats before = packet_buffer_pool_stats();
+    std::vector<Packet> held;
+    for (int i = 0; i < 40; ++i) {
+      held.emplace_back(std::size_t{9000});
+    }
+    const sim::PoolStats after = packet_buffer_pool_stats();
+    EXPECT_EQ(after.allocated, before.allocated);
+    EXPECT_EQ(after.reused - before.reused, 40u);
+  }).join();
+}
+
+TEST(PacketBufferPool, MovedFromPacketOwnsNothing) {
+  Packet p(64);
+  Packet q = std::move(p);
+  const sim::PoolStats before = packet_buffer_pool_stats();
+  p = Packet();  // destroying / reassigning the moved-from shell is free
+  EXPECT_EQ(packet_buffer_pool_stats().released, before.released);
+  EXPECT_TRUE(p.empty());
+  EXPECT_EQ(q.size(), 64u);
+}
+
+TEST(MakeUdpPacket, TemplateMatchesBuilderChain) {
+  const Ipv4Address src(10, 1, 2, 3);
+  const Ipv4Address dst(10, 0, 0, 1);
+  make_udp_packet(src, dst, 1, 2, 64);  // builds the template once
+  for (const std::size_t size :
+       {0u, 41u, 42u, 43u, 64u, 65u, 700u, 1500u, 9000u}) {
+    SCOPED_TRACE("total_size " + std::to_string(size));
+    constexpr std::size_t kHeaders =
+        EthernetHeader::kSize + Ipv4Header::kSize + UdpHeader::kSize;
+    const Packet want =
+        PacketBuilder()
+            .ethernet(MacAddress::from_u64(0x020000000001),
+                      MacAddress::from_u64(0x020000000002))
+            .ipv4(src, dst, kIpProtoUdp)
+            .udp(12345, 20001)
+            .payload(size > kHeaders ? size - kHeaders : 0)
+            .pad_to(size)
+            .build();
+    const sim::PoolStats before = packet_buffer_pool_stats();
+    const Packet got = make_udp_packet(src, dst, 12345, 20001, size);
+    EXPECT_EQ(packet_buffer_pool_stats().acquired - before.acquired, 1u);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_TRUE(std::equal(got.bytes().begin(), got.bytes().end(),
+                           want.bytes().begin()));
+    EXPECT_TRUE(Ipv4Header::decode(got, EthernetHeader::kSize).checksum_ok());
+  }
 }
 
 TEST(PacketBuilder, VlanRewritesEtherTypeChain) {

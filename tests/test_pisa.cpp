@@ -2,6 +2,9 @@
 // meters, pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "net/packet_builder.hpp"
 #include "pisa/counter.hpp"
 #include "pisa/deparser.hpp"
@@ -26,114 +29,9 @@ net::Packet udp_packet(std::uint16_t dst_port = 2000,
 
 // ---- parser -------------------------------------------------------------------
 
-TEST(Parser, ParsesEthernetIpv4Udp) {
-  const Parser parser = Parser::standard();
-  Phv phv = parser.parse(udp_packet());
-  ASSERT_FALSE(phv.parse_error);
-  ASSERT_TRUE(phv.eth.has_value());
-  ASSERT_TRUE(phv.ipv4.has_value());
-  ASSERT_TRUE(phv.udp.has_value());
-  EXPECT_FALSE(phv.tcp.has_value());
-  EXPECT_EQ(phv.ipv4->src, Ipv4Address(10, 0, 0, 1));
-  EXPECT_EQ(phv.udp->dst_port, 2000);
-  EXPECT_EQ(phv.std_meta.packet_length, 200u);
-  EXPECT_EQ(phv.payload_offset, net::EthernetHeader::kSize +
-                                    net::Ipv4Header::kSize +
-                                    net::UdpHeader::kSize);
-}
-
-TEST(Parser, ParsesKvOverWellKnownPort) {
-  net::KvHeader kv;
-  kv.op = net::KvHeader::kGet;
-  kv.key = 77;
-  const net::Packet p =
-      net::PacketBuilder()
-          .ethernet(MacAddress::from_u64(1), MacAddress::from_u64(2))
-          .ipv4(Ipv4Address(1, 1, 1, 1), Ipv4Address(2, 2, 2, 2),
-                net::kIpProtoUdp)
-          .udp(5000, net::kPortKvCache)
-          .kv(kv)
-          .build();
-  const Phv phv = Parser::standard().parse(p);
-  ASSERT_TRUE(phv.kv.has_value());
-  EXPECT_EQ(phv.kv->key, 77u);
-}
-
-TEST(Parser, ParsesHulaAndLiveness) {
-  net::HulaProbeHeader probe{3, 500, 9};
-  const net::Packet hp =
-      net::PacketBuilder()
-          .ethernet(MacAddress::from_u64(1), MacAddress::from_u64(2),
-                    net::kEtherTypeHula)
-          .hula_probe(probe)
-          .pad_to(64)
-          .build();
-  const Phv hphv = Parser::standard().parse(hp);
-  ASSERT_TRUE(hphv.hula.has_value());
-  EXPECT_EQ(hphv.hula->tor_id, 3u);
-
-  net::LivenessHeader echo;
-  echo.kind = net::LivenessHeader::kRequest;
-  const net::Packet lp =
-      net::PacketBuilder()
-          .ethernet(MacAddress::from_u64(1), MacAddress::from_u64(2),
-                    net::kEtherTypeLiveness)
-          .liveness(echo)
-          .pad_to(64)
-          .build();
-  const Phv lphv = Parser::standard().parse(lp);
-  ASSERT_TRUE(lphv.liveness.has_value());
-  EXPECT_EQ(lphv.liveness->kind, net::LivenessHeader::kRequest);
-}
-
-TEST(Parser, TruncatedPacketIsRejected) {
-  net::Packet p(10);  // shorter than an Ethernet header
-  EXPECT_TRUE(Parser::standard().parse(std::move(p)).parse_error);
-
-  // Ethernet claims IPv4 but the packet ends after 14 bytes.
-  net::Packet q(net::EthernetHeader::kSize);
-  net::EthernetHeader eth;
-  eth.ether_type = net::kEtherTypeIpv4;
-  eth.encode(q, 0);
-  EXPECT_TRUE(Parser::standard().parse(std::move(q)).parse_error);
-}
-
-TEST(Parser, UnknownEtherTypeAcceptsAtL2) {
-  net::Packet p(64);
-  net::EthernetHeader eth;
-  eth.ether_type = 0x9999;
-  eth.encode(p, 0);
-  const Phv phv = Parser::standard().parse(std::move(p));
-  EXPECT_FALSE(phv.parse_error);
-  EXPECT_TRUE(phv.eth.has_value());
-  EXPECT_FALSE(phv.ipv4.has_value());
-  EXPECT_EQ(phv.payload_offset, net::EthernetHeader::kSize);
-}
-
-TEST(Parser, CustomStateCanBeAdded) {
-  Parser parser = Parser::standard();
-  // Replace the ethernet state for a fictitious ethertype path.
-  bool custom_hit = false;
-  parser.add_state("start", [&](Phv&, std::size_t off) {
-    custom_hit = true;
-    return ParseStep{"ethernet", off};
-  });
-  parser.parse(udp_packet());
-  EXPECT_TRUE(custom_hit);
-}
-
-TEST(Parser, FastPathMatchesGeneric) {
-  // The compiled parse_standard() fast path must be observationally
-  // identical to the generic name-dispatched walk of the standard() graph.
-  // Re-registering any state drops a parser to the generic dispatcher, so
-  // build the generic twin by re-adding a verbatim "start" state, then run
-  // both parsers over one packet of every shape the graph distinguishes.
-  const Parser fast = Parser::standard();
-  Parser generic = Parser::standard();
-  generic.add_state("start", [](Phv&, std::size_t off) {
-    return ParseStep{"ethernet", off};
-  });
-
+/// One packet of every shape the standard parse graph distinguishes,
+/// including truncated ones.
+std::vector<net::Packet> parser_corpus() {
   const auto mac = [](std::uint64_t v) { return MacAddress::from_u64(v); };
   std::vector<net::Packet> corpus;
   corpus.push_back(udp_packet());  // plain UDP
@@ -213,6 +111,119 @@ TEST(Parser, FastPathMatchesGeneric) {
     corpus.push_back(std::move(q));
   }
 
+  return corpus;
+}
+
+
+TEST(Parser, ParsesEthernetIpv4Udp) {
+  const Parser parser = Parser::standard();
+  Phv phv = parser.parse(udp_packet());
+  ASSERT_FALSE(phv.parse_error);
+  ASSERT_TRUE(phv.eth.has_value());
+  ASSERT_TRUE(phv.ipv4.has_value());
+  ASSERT_TRUE(phv.udp.has_value());
+  EXPECT_FALSE(phv.tcp.has_value());
+  EXPECT_EQ(phv.ipv4->src, Ipv4Address(10, 0, 0, 1));
+  EXPECT_EQ(phv.udp->dst_port, 2000);
+  EXPECT_EQ(phv.std_meta.packet_length, 200u);
+  EXPECT_EQ(phv.payload_offset, net::EthernetHeader::kSize +
+                                    net::Ipv4Header::kSize +
+                                    net::UdpHeader::kSize);
+}
+
+TEST(Parser, ParsesKvOverWellKnownPort) {
+  net::KvHeader kv;
+  kv.op = net::KvHeader::kGet;
+  kv.key = 77;
+  const net::Packet p =
+      net::PacketBuilder()
+          .ethernet(MacAddress::from_u64(1), MacAddress::from_u64(2))
+          .ipv4(Ipv4Address(1, 1, 1, 1), Ipv4Address(2, 2, 2, 2),
+                net::kIpProtoUdp)
+          .udp(5000, net::kPortKvCache)
+          .kv(kv)
+          .build();
+  const Phv phv = Parser::standard().parse(net::Packet(p));
+  ASSERT_TRUE(phv.kv.has_value());
+  EXPECT_EQ(phv.kv->key, 77u);
+}
+
+TEST(Parser, ParsesHulaAndLiveness) {
+  net::HulaProbeHeader probe{3, 500, 9};
+  const net::Packet hp =
+      net::PacketBuilder()
+          .ethernet(MacAddress::from_u64(1), MacAddress::from_u64(2),
+                    net::kEtherTypeHula)
+          .hula_probe(probe)
+          .pad_to(64)
+          .build();
+  const Phv hphv = Parser::standard().parse(net::Packet(hp));
+  ASSERT_TRUE(hphv.hula.has_value());
+  EXPECT_EQ(hphv.hula->tor_id, 3u);
+
+  net::LivenessHeader echo;
+  echo.kind = net::LivenessHeader::kRequest;
+  const net::Packet lp =
+      net::PacketBuilder()
+          .ethernet(MacAddress::from_u64(1), MacAddress::from_u64(2),
+                    net::kEtherTypeLiveness)
+          .liveness(echo)
+          .pad_to(64)
+          .build();
+  const Phv lphv = Parser::standard().parse(net::Packet(lp));
+  ASSERT_TRUE(lphv.liveness.has_value());
+  EXPECT_EQ(lphv.liveness->kind, net::LivenessHeader::kRequest);
+}
+
+TEST(Parser, TruncatedPacketIsRejected) {
+  net::Packet p(10);  // shorter than an Ethernet header
+  EXPECT_TRUE(Parser::standard().parse(std::move(p)).parse_error);
+
+  // Ethernet claims IPv4 but the packet ends after 14 bytes.
+  net::Packet q(net::EthernetHeader::kSize);
+  net::EthernetHeader eth;
+  eth.ether_type = net::kEtherTypeIpv4;
+  eth.encode(q, 0);
+  EXPECT_TRUE(Parser::standard().parse(std::move(q)).parse_error);
+}
+
+TEST(Parser, UnknownEtherTypeAcceptsAtL2) {
+  net::Packet p(64);
+  net::EthernetHeader eth;
+  eth.ether_type = 0x9999;
+  eth.encode(p, 0);
+  const Phv phv = Parser::standard().parse(std::move(p));
+  EXPECT_FALSE(phv.parse_error);
+  EXPECT_TRUE(phv.eth.has_value());
+  EXPECT_FALSE(phv.ipv4.has_value());
+  EXPECT_EQ(phv.payload_offset, net::EthernetHeader::kSize);
+}
+
+TEST(Parser, CustomStateCanBeAdded) {
+  Parser parser = Parser::standard();
+  // Replace the ethernet state for a fictitious ethertype path.
+  bool custom_hit = false;
+  parser.add_state("start", [&](Phv&, std::size_t off) {
+    custom_hit = true;
+    return ParseStep{"ethernet", off};
+  });
+  parser.parse(udp_packet());
+  EXPECT_TRUE(custom_hit);
+}
+
+TEST(Parser, FastPathMatchesGeneric) {
+  // The compiled parse_standard() fast path must be observationally
+  // identical to the generic name-dispatched walk of the standard() graph.
+  // Re-registering any state drops a parser to the generic dispatcher, so
+  // build the generic twin by re-adding a verbatim "start" state, then run
+  // both parsers over one packet of every shape the graph distinguishes.
+  const Parser fast = Parser::standard();
+  Parser generic = Parser::standard();
+  generic.add_state("start", [](Phv&, std::size_t off) {
+    return ParseStep{"ethernet", off};
+  });
+
+  const std::vector<net::Packet> corpus = parser_corpus();
   const Deparser deparser;
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     SCOPED_TRACE("corpus packet " + std::to_string(i));
@@ -252,7 +263,7 @@ TEST(Parser, MetadataFromPacketMeta) {
 
 TEST(Deparser, RoundTripIsIdentity) {
   const net::Packet original = udp_packet(2000, 300);
-  Phv phv = Parser::standard().parse(original);
+  Phv phv = Parser::standard().parse(net::Packet(original));
   const net::Packet out = Deparser().deparse(phv);
   ASSERT_EQ(out.size(), original.size());
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -276,6 +287,140 @@ TEST(Deparser, HeaderInvalidationRemovesBytes) {
   phv.udp.reset();  // drop the UDP header (decap-style)
   const net::Packet out = Deparser().deparse(phv);
   EXPECT_EQ(out.size(), 200u - net::UdpHeader::kSize);
+}
+
+TEST(Deparser, InPlaceMatchesDeparseOverCorpusAndRewrites) {
+  // deparse_in_place() must emit exactly deparse()'s bytes: in place for
+  // field rewrites on an unchanged header set, by fallback when a header
+  // is added or removed or the payload is trimmed.
+  struct Rewrite {
+    const char* name;
+    bool (*apply)(Phv&);  ///< false: not applicable to this packet
+    bool in_place;        ///< expected path when applicable
+  };
+  const Rewrite rewrites[] = {
+      {"none", [](Phv&) { return true; }, true},
+      {"ecn-mark",
+       [](Phv& p) {
+         if (!p.ipv4) return false;
+         p.ipv4->ecn = 3;
+         return true;
+       },
+       true},
+      {"ttl",
+       [](Phv& p) {
+         if (!p.ipv4) return false;
+         --p.ipv4->ttl;
+         return true;
+       },
+       true},
+      {"dscp",
+       [](Phv& p) {
+         if (!p.ipv4) return false;
+         p.ipv4->dscp = 46;
+         return true;
+       },
+       true},
+      {"vlan-push",
+       [](Phv& p) {
+         if (!p.eth || p.vlan) return false;
+         net::VlanHeader v;
+         v.vid = 7;
+         v.ether_type = p.eth->ether_type;
+         p.vlan = v;
+         return true;
+       },
+       false},
+      {"vlan-pop",
+       [](Phv& p) {
+         if (!p.vlan) return false;
+         p.eth->ether_type = p.vlan->ether_type;
+         p.vlan.reset();
+         return true;
+       },
+       false},
+      {"header-add",
+       [](Phv& p) {
+         if (!p.udp || p.kv || p.int_report) return false;
+         p.kv = net::KvHeader{};
+         return true;
+       },
+       false},
+      {"header-remove",
+       [](Phv& p) {
+         if (!p.udp) return false;
+         p.udp.reset();
+         return true;
+       },
+       false},
+      {"payload-trim",
+       [](Phv& p) {
+         if (p.payload_offset >= p.packet.size()) return false;
+         p.payload_offset = p.packet.size();
+         return true;
+       },
+       false},
+  };
+
+  const Parser parser = Parser::standard();
+  const Deparser deparser;
+  std::size_t in_place_runs = 0;
+  std::size_t fallback_runs = 0;
+  const std::vector<net::Packet> corpus = parser_corpus();
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    net::Packet pkt(corpus[i]);
+    pkt.meta().trace_id = 100 + i;
+    pkt.meta().ingress_port = 3;
+    const Phv parsed = parser.parse(std::move(pkt));
+    if (parsed.parse_error) {
+      continue;
+    }
+    for (const Rewrite& r : rewrites) {
+      SCOPED_TRACE("corpus packet " + std::to_string(i) + ", " + r.name);
+      Phv phv = parsed;
+      if (!r.apply(phv)) {
+        continue;
+      }
+      EXPECT_EQ(Deparser::rewrites_in_place(phv), r.in_place);
+      (r.in_place ? in_place_runs : fallback_runs) += 1;
+      const net::Packet want = deparser.deparse(phv);
+      const net::Packet got = deparser.deparse_in_place(Phv(phv));
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_TRUE(std::equal(got.bytes().begin(), got.bytes().end(),
+                             want.bytes().begin()));
+      EXPECT_EQ(got.meta().trace_id, 100 + i);
+      EXPECT_EQ(got.meta().ingress_port, 3);
+
+      // Emitted lengths and checksum are consistent with the emitted size.
+      const Phv back = parser.parse(net::Packet(got));
+      ASSERT_FALSE(back.parse_error);
+      const std::size_t ip_off =
+          (back.eth ? net::EthernetHeader::kSize : 0) +
+          (back.vlan ? net::VlanHeader::kSize : 0);
+      if (phv.ipv4) {
+        ASSERT_TRUE(back.ipv4.has_value());
+        EXPECT_EQ(back.ipv4->total_length, got.size() - ip_off);
+        EXPECT_TRUE(back.ipv4->checksum_ok());
+      }
+      if (phv.udp && !phv.tcp) {
+        ASSERT_TRUE(back.udp.has_value());
+        EXPECT_EQ(back.udp->length,
+                  got.size() - ip_off - net::Ipv4Header::kSize);
+      }
+    }
+  }
+  EXPECT_GT(in_place_runs, 20u);
+  EXPECT_GT(fallback_runs, 10u);
+}
+
+TEST(Deparser, InPlaceKeepsThePacketsBuffer) {
+  Phv phv = Parser::standard().parse(udp_packet(2000, 700));
+  phv.ipv4->ecn = 3;
+  const std::uint8_t* buffer = phv.packet.bytes().data();
+  const sim::PoolStats before = net::packet_buffer_pool_stats();
+  const net::Packet out = Deparser().deparse_in_place(std::move(phv));
+  EXPECT_EQ(out.bytes().data(), buffer);
+  EXPECT_EQ(net::packet_buffer_pool_stats().acquired, before.acquired);
 }
 
 // ---- tables -------------------------------------------------------------------

@@ -229,7 +229,7 @@ TEST_P(ParserRoundTrip, RandomPacketsSurviveUnchanged) {
                   .build();
         break;
     }
-    const pisa::Phv phv = parser.parse(pkt);
+    const pisa::Phv phv = parser.parse(net::Packet(pkt));
     ASSERT_FALSE(phv.parse_error);
     const net::Packet out = deparser.deparse(phv);
     ASSERT_EQ(out.size(), pkt.size());

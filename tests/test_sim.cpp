@@ -29,7 +29,7 @@ class SchedulerTestPeer {
   }
   static void set_slot_generation(Scheduler& s, std::uint32_t slot,
                                   std::uint32_t gen) {
-    s.slots_[slot].gen = gen;
+    s.slot_at(slot).gen = gen;
   }
 };
 
@@ -293,6 +293,34 @@ TEST(Scheduler, CallbacksMayScheduleMore) {
   EXPECT_EQ(count, 5);
   EXPECT_EQ(sched.now(), Time::micros(5));
   EXPECT_EQ(sched.executed(), 5u);
+}
+
+TEST(Scheduler, RunningClosureStaysPutWhileItSchedulesMore) {
+  // A callback that schedules thousands of events mints new slots while it
+  // runs; its own closure must not be relocated (it is still executing and
+  // reads its captures afterwards).
+  struct MoveCounter {
+    int* moves;
+    explicit MoveCounter(int* m) : moves(m) {}
+    MoveCounter(MoveCounter&& o) noexcept : moves(o.moves) { ++*moves; }
+    MoveCounter(const MoveCounter&) = delete;
+  };
+  Scheduler sched;
+  int moves = 0;
+  int moves_during_callback = -1;
+  int read_back = 0;
+  sched.at(Time::nanos(1), [&, c = MoveCounter(&moves), x = 42] {
+    const int before = *c.moves;
+    for (int i = 0; i < 5000; ++i) {
+      sched.after(Time::nanos(1), [] {});
+    }
+    moves_during_callback = *c.moves - before;
+    read_back = x;
+  });
+  sched.run();
+  EXPECT_EQ(moves_during_callback, 0);
+  EXPECT_EQ(read_back, 42);
+  EXPECT_EQ(sched.executed(), 5001u);
 }
 
 TEST(Scheduler, MaxEventsGuardStopsRunawayLoops) {
