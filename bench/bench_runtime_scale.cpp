@@ -16,11 +16,13 @@
 // is built around — see tests/test_runtime.cpp for the seed-sweep property
 // test).
 //
-// The perf gate is core-aware (the hw_threads field in the JSON makes the
-// branch auditable):
-//   * >= 4 hardware threads: 4 workers must beat 1 worker by >= 1.5x —
+// The perf gate is core-aware: it branches on the CPUs this process may
+// run on (runtime::usable_cpus(), the affinity mask, so a `taskset` run
+// counts its mask), recorded as usable_cpus in the JSON next to the CPU
+// model and git sha so the branch taken is auditable:
+//   * >= 4 usable CPUs: 4 workers must beat 1 worker by >= 1.5x —
 //     multi-worker runs must WIN when cores exist;
-//   * fewer (e.g. the 1-thread CI container): wall time cannot tell
+//   * fewer (e.g. a 1-CPU container): wall time cannot tell
 //     parallelism anything, so the gate falls back to determinism plus the
 //     overhead bounds the adaptive-window rework established: windows per
 //     simulated ms must stay >= 3x below the old global-min-lookahead
@@ -71,7 +73,7 @@ constexpr double kWindowsImprovementGate = 3.0;
 // run may cost at most this factor over the 1-worker run (the old runtime
 // sat at ~2.9x).
 constexpr double kOversubscribedWallFactor = 1.2;
-// With >= 4 hardware threads, 4 workers must actually win.
+// With >= 4 usable CPUs, 4 workers must actually win.
 constexpr double kParallelSpeedupGate = 1.5;
 
 topo::Spec make_spec() {
@@ -160,10 +162,17 @@ struct Result {
   std::uint64_t ring_drains = 0;   ///< nonempty burst pops at barriers
   std::uint64_t ring_drained = 0;  ///< messages moved by those bursts
   std::uint64_t windows = 0;       ///< synchronization rounds (whole run)
+  std::uint64_t gate_parks = 0;    ///< gate waits that slept (whole run)
   double cut_fraction = 0;         ///< cut links / total links in the plan
   std::uint64_t digest = 0;
   double allocations_per_event = 0;  ///< packet-buffer pool misses / event
 };
+
+double parks_per_round(const Result& r) {
+  return r.windows == 0 ? 0.0
+                        : static_cast<double>(r.gate_parks) /
+                              static_cast<double>(r.windows);
+}
 
 Result run(std::size_t workers) {
   const topo::Spec spec = make_spec();
@@ -216,6 +225,7 @@ Result run(std::size_t workers) {
   r.ring_drains = rt.ring_drains();
   r.ring_drained = rt.ring_drained();
   r.windows = rt.windows();
+  r.gate_parks = rt.gate_parks();
   r.cut_fraction = rt.plan().cut_fraction;
   r.allocations_per_event = static_cast<double>(allocs_after - allocs_before) /
                             static_cast<double>(r.events);
@@ -240,11 +250,13 @@ Result run(std::size_t workers) {
 int main(int argc, char** argv) {
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_runtime.json";
   const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t cpus = runtime::usable_cpus();
   const double sim_ms = kSpan.as_millis();
   std::printf("bench_runtime_scale: %zu-switch leaf-spine, %zu hosts, "
-              "%lld ms simulated, %u hw threads\n\n",
+              "%lld ms simulated, %zu usable CPUs (%u hw threads)\n\n",
               kLeaves + kSpines, kLeaves * kHostsPerLeaf,
-              static_cast<long long>(kSpan.ps() / 1'000'000'000), hw_threads);
+              static_cast<long long>(kSpan.ps() / 1'000'000'000), cpus,
+              hw_threads);
 
   std::vector<Result> results;
   for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
@@ -255,7 +267,8 @@ int main(int argc, char** argv) {
   bool deterministic = true;
   edp::bench::TextTable table(
       {"workers", "threads", "wall ms", "events/sec", "speedup", "cross-shard",
-       "windows", "win/sim-ms", "cut frac", "allocs/event", "digest match"});
+       "windows", "win/sim-ms", "parks/round", "cut frac", "allocs/event",
+       "digest match"});
   for (const Result& r : results) {
     const bool match = r.digest == base.digest;
     deterministic = deterministic && match;
@@ -275,6 +288,8 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof buf, "%.1f",
                   static_cast<double>(r.windows) / sim_ms);
     row.push_back(buf);
+    std::snprintf(buf, sizeof buf, "%.4f", parks_per_round(r));
+    row.push_back(buf);
     std::snprintf(buf, sizeof buf, "%.2f", r.cut_fraction);
     row.push_back(buf);
     std::snprintf(buf, sizeof buf, "%.4f", r.allocations_per_event);
@@ -289,9 +304,12 @@ int main(int argc, char** argv) {
        << "  \"topology\": \"" << kLeaves << "-leaf/" << kSpines
        << "-spine\",\n"
        << "  \"sim_millis\": " << (kSpan.ps() / 1'000'000'000) << ",\n"
+       << "  \"usable_cpus\": " << cpus << ",\n"
        << "  \"hw_threads\": " << hw_threads << ",\n"
+       << "  \"cpu_model\": \"" << edp::bench::cpu_model() << "\",\n"
+       << "  \"git_sha\": \"" << edp::bench::git_sha() << "\",\n"
        << "  \"gate\": \""
-       << (hw_threads >= 4 ? "speedup4 >= 1.5x" : "windows + wall-factor")
+       << (cpus >= 4 ? "speedup4 >= 1.5x" : "windows + wall-factor")
        << "\",\n"
        << "  \"baseline_windows_per_sim_ms\": " << kBaselineWindowsPerSimMs
        << ",\n"
@@ -315,6 +333,8 @@ int main(int argc, char** argv) {
          << ", \"windows\": " << r.windows
          << ", \"windows_per_sim_ms\": "
          << (static_cast<double>(r.windows) / sim_ms)
+         << ", \"gate_parks\": " << r.gate_parks
+         << ", \"parks_per_round\": " << parks_per_round(r)
          << ", \"cut_fraction\": " << r.cut_fraction
          << ", \"allocations_per_event\": " << r.allocations_per_event << "}"
          << (i + 1 < results.size() ? "," : "") << "\n";
@@ -334,15 +354,15 @@ int main(int argc, char** argv) {
 
   const Result& par4 = results.back();
   const double speedup4 = base.wall_ms / par4.wall_ms;
-  if (hw_threads >= 4) {
+  if (cpus >= 4) {
     // Cores exist: multi-worker must win outright.
     if (speedup4 < kParallelSpeedupGate) {
-      std::printf("FAIL: %u hw threads but 4-worker speedup %.2fx < %.2fx\n",
-                  hw_threads, speedup4, kParallelSpeedupGate);
+      std::printf("FAIL: %zu usable CPUs but 4-worker speedup %.2fx < %.2fx\n",
+                  cpus, speedup4, kParallelSpeedupGate);
       return 1;
     }
-    std::printf("OK: 4-worker speedup %.2fx (gate %.2fx, %u hw threads)\n",
-                speedup4, kParallelSpeedupGate, hw_threads);
+    std::printf("OK: 4-worker speedup %.2fx (gate %.2fx, %zu usable CPUs)\n",
+                speedup4, kParallelSpeedupGate, cpus);
     return 0;
   }
 

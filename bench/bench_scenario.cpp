@@ -18,10 +18,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common.hpp"
+#include "runtime/parallel_runtime.hpp"
 #include "workload/fuzzer.hpp"
 #include "workload/replay.hpp"
 
@@ -93,8 +93,7 @@ int main(int argc, char** argv) {
        << "  \"app\": \"" << app->name << "\",\n"
        << "  \"mix\": \"web-search\",\n"
        << "  \"flows\": " << flows << ",\n"
-       << "  \"hw_threads\": "
-       << std::max(1u, std::thread::hardware_concurrency()) << ",\n"
+       << "  \"usable_cpus\": " << runtime::usable_cpus() << ",\n"
        << "  \"min_events_per_sec_gate\": "
        << edp::bench::fmt("%.0f", min_events_per_sec) << ",\n"
        << "  \"deterministic\": " << (deterministic ? "true" : "false")

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -74,6 +75,39 @@ inline std::string fmt(const char* format, ...) {
 
 inline void section(const char* title) {
   std::printf("\n=== %s ===\n\n", title);
+}
+
+/// The host's CPU model from /proc/cpuinfo ("unknown" where unreadable),
+/// recorded next to results whose meaning depends on the hardware.
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) {
+        return line.substr(line.find_first_not_of(" \t", colon + 1));
+      }
+    }
+  }
+  return "unknown";
+}
+
+/// HEAD of the source tree the bench was built from ("unknown" outside a
+/// git checkout), so a recorded result names the code that produced it.
+inline std::string git_sha() {
+  std::string sha = "unknown";
+  std::FILE* p = ::popen("git -C \"" EDP_SOURCE_DIR
+                         "\" rev-parse HEAD 2>/dev/null", "r");
+  if (p != nullptr) {
+    char buf[64] = {};
+    if (std::fgets(buf, sizeof buf, p) != nullptr && buf[0] != '\0') {
+      sha = buf;
+      sha.erase(sha.find_last_not_of("\r\n") + 1);
+    }
+    ::pclose(p);
+  }
+  return sha;
 }
 
 }  // namespace edp::bench

@@ -1,5 +1,7 @@
 #include "runtime/parallel_runtime.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <cassert>
 
@@ -18,9 +20,30 @@ std::int64_t saturating_add(std::int64_t a, std::int64_t b) {
 }
 }  // namespace
 
+std::size_t usable_cpus() {
+#ifdef CPU_COUNT
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0 && CPU_COUNT(&set) > 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&set));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+std::size_t worker_count(std::size_t shards, std::size_t max_workers,
+                         std::size_t cpus) {
+  const std::size_t want = max_workers != 0 ? max_workers : cpus;
+  return std::max<std::size_t>(1, std::min(shards, want));
+}
+
 ParallelRuntime::ParallelRuntime(const topo::Spec& spec, topo::ShardPlan plan,
                                  RuntimeOptions options)
-    : plan_(std::move(plan)), options_(options) {
+    : plan_(std::move(plan)),
+      options_(options),
+      pool_size_(worker_count(plan_.num_shards, options_.max_workers,
+                              usable_cpus())),
+      gate_(pool_size_) {
   const std::size_t n = plan_.num_shards;
   assert(n >= 1);
   assert(plan_.switch_shard.size() == spec.num_switches());
@@ -146,34 +169,27 @@ ParallelRuntime::ParallelRuntime(const topo::Spec& spec, topo::ShardPlan plan,
     }
   }
 
-  // Persistent worker pool, sized to the hardware: more workers than cores
-  // just trade real work for futex ping-pong, so by default each worker
-  // multiplexes a contiguous block of shards and the pool never exceeds
-  // the machine. One worker (or one shard) runs inline on the caller.
-  std::size_t want = options_.max_workers;
-  if (want == 0) {
-    want = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  pool_size_ = std::min(n, want);
+  // The caller is worker 0; the pool runs the other shard blocks. Workers
+  // never outnumber usable CPUs by default, so the gate's spin finds every
+  // peer running (round_gate.hpp).
   shards_per_worker_ = (n + pool_size_ - 1) / pool_size_;
-  bound_scratch_.assign(pool_size_, std::vector<std::int64_t>(n, kInfinity));
-  if (pool_size_ > 1) {
-    round_barrier_ = std::make_unique<std::barrier<>>(  // hotpath-ok: setup
-        static_cast<std::ptrdiff_t>(pool_size_));
-    pool_.reserve(pool_size_);
-    for (std::size_t w = 0; w < pool_size_; ++w) {
-      pool_.emplace_back([this, w] { pool_main(w); });
-    }
+  workers_.resize(pool_size_);
+  for (Worker& w : workers_) {
+    w.bounds.assign(n, kInfinity);
+  }
+  pool_.reserve(pool_size_ - 1);
+  for (std::size_t w = 1; w < pool_size_; ++w) {
+    pool_.emplace_back([this, w] {
+      while (run_job(w)) {
+      }
+    });
   }
 }
 
 ParallelRuntime::~ParallelRuntime() {
   if (!pool_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      stop_ = true;
-    }
-    pool_cv_.notify_all();
+    stop_ = true;
+    gate_.arrive_and_wait();  // opens the start gate the pool waits at
     for (auto& t : pool_) {
       t.join();
     }
@@ -256,13 +272,21 @@ std::uint64_t ParallelRuntime::ring_drained() const {
   return sum;
 }
 
+std::uint64_t ParallelRuntime::gate_parks() const {
+  std::uint64_t sum = 0;
+  for (const Worker& w : workers_) {
+    sum += w.parks;
+  }
+  return sum;
+}
+
 void ParallelRuntime::push(std::size_t src, std::size_t dst, Msg&& m) {
   const std::size_t parity = shards_[src].parity;
   Channel& ch = *channel(parity, src, dst);
 #ifndef NDEBUG
-  // Barrier-ordering invariant: the producer owns this parity's channel for
+  // Gate-ordering invariant: the producer owns this parity's channel for
   // the whole round; the consumer drains it only in the next round, after
-  // the barrier. So push never runs concurrently with drain_inbound on the
+  // the round gate. So push never runs concurrently with drain_inbound on the
   // same channel, and `overflow` needs no lock.
   int expected = 0;
   assert((ch.debug_phase.compare_exchange_strong(expected, 1,
@@ -341,7 +365,7 @@ void ParallelRuntime::drain_inbound(std::size_t shard, std::size_t parity) {
     // Overflow replays *after* the ring so the producer-side FIFO order
     // (ring first, then overflow once the ring filled) is preserved. The
     // unlocked read/clear is safe: this channel's producer pushed it one
-    // round ago and is phase-separated from us by the round barrier.
+    // round ago and is phase-separated from us by the round gate.
     if (!ch->overflow.empty()) {
       sh.inject_burst.clear();
       for (auto& om : ch->overflow) {
@@ -396,10 +420,11 @@ void ParallelRuntime::compute_activity_bounds(std::size_t snap,
 }
 
 bool ParallelRuntime::run_round(std::size_t worker, std::uint64_t q,
-                                sim::Time deadline, std::int64_t* e) {
+                                sim::Time deadline) {
   const std::size_t n = plan_.num_shards;
   const std::size_t parity = q & 1;
   const std::size_t snap = (q + 1) & 1;  // previous round's publications
+  std::int64_t* e = workers_[worker].bounds.data();
   compute_activity_bounds(snap, e);
 
   const std::size_t first = worker * shards_per_worker_;
@@ -439,9 +464,7 @@ bool ParallelRuntime::run_round(std::size_t worker, std::uint64_t q,
   if (worker == 0) {
     ++windows_;
   }
-  if (round_barrier_) {
-    round_barrier_->arrive_and_wait();
-  }
+  wait_at_gate(worker);
   // Everyone reads the same just-published snapshot, so every worker
   // reaches the same verdict — no extra coordination needed.
   for (std::size_t i = 0; i < n; ++i) {
@@ -452,66 +475,23 @@ bool ParallelRuntime::run_round(std::size_t worker, std::uint64_t q,
   return true;
 }
 
-void ParallelRuntime::run_rounds(std::size_t worker, sim::Time deadline) {
-  const std::size_t n = plan_.num_shards;
-  std::int64_t* e = bound_scratch_[worker].data();
+bool ParallelRuntime::run_job(std::size_t worker) {
+  wait_at_gate(worker);  // start
+  if (stop_) {
+    return false;
+  }
   std::uint64_t q = round_;
-
-  // Job entry: republish next-event times into the snapshot slot the first
-  // round will read. The caller may have scheduled (or cancelled) events on
-  // any shard since the last run, so the parked snapshot can be stale in
-  // either direction. now() is unchanged; in-flight minima persist (rings
-  // cannot be written between jobs).
-  const std::size_t entry_snap = (q + 1) & 1;
-  const std::size_t first = worker * shards_per_worker_;
-  const std::size_t last = std::min(n, first + shards_per_worker_);
-  for (std::size_t i = first; i < last; ++i) {
-    Shard& sh = shards_[i];
-    const auto next = sh.sched->next_event_time();
-    clock_[entry_snap][i] =
-        ClockSnap{sh.sched->now().ps(), next ? next->ps() : kInfinity};
-  }
-  if (round_barrier_) {
-    round_barrier_->arrive_and_wait();
-  }
-
-  while (!run_round(worker, q, deadline, e)) {
+  while (!run_round(worker, q, job_deadline_)) {
     ++q;
   }
-  ++q;
+  // Finish: the caller may touch any shard, the snapshots and round_ once
+  // it returns, so every worker must be done reading them first. Uncounted:
+  // the caller may read gate_parks() as soon as this gate opens.
   if (worker == 0) {
-    round_ = q;
+    round_ = q + 1;
   }
-  // Publish round_ before any worker can report the job done: the next
-  // job's workers read it at entry, and without this barrier a fast worker
-  // could finish, let the caller launch the next job, and race worker 0's
-  // write above.
-  if (round_barrier_) {
-    round_barrier_->arrive_and_wait();
-  }
-}
-
-void ParallelRuntime::pool_main(std::size_t worker) {
-  std::uint64_t seen_epoch = 0;
-  for (;;) {
-    sim::Time deadline;
-    {
-      std::unique_lock<std::mutex> lock(pool_mu_);
-      pool_cv_.wait(lock, [&] { return stop_ || job_epoch_ != seen_epoch; });
-      if (stop_) {
-        return;
-      }
-      seen_epoch = job_epoch_;
-      deadline = job_deadline_;
-    }
-    run_rounds(worker, deadline);
-    {
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      if (--running_ == 0) {
-        done_cv_.notify_all();
-      }
-    }
-  }
+  gate_.arrive_and_wait();
+  return true;
 }
 
 void ParallelRuntime::run_until(sim::Time deadline) {
@@ -524,20 +504,20 @@ void ParallelRuntime::run_until(sim::Time deadline) {
     ++windows_;  // one round: drained to the deadline in a single window
     return;
   }
-  if (pool_size_ == 1) {
-    // Fewer cores than shards: multiplex every shard on the caller's
-    // thread. Same round loop, no barrier, no futex — the oversubscribed
-    // configuration degrades to sequential windowing instead of context-
-    // switch thrash.
-    run_rounds(0, deadline);
-    return;
+  // Job entry: republish next-event times into the snapshot slot the first
+  // round will read. The caller may have scheduled (or cancelled) events on
+  // any shard since the last run, so the old snapshot can be stale in
+  // either direction. now() is unchanged; in-flight minima persist (rings
+  // cannot be written between jobs). Until the start gate opens the caller
+  // owns every shard.
+  const std::size_t entry_snap = (round_ + 1) & 1;
+  for (std::size_t i = 0; i < plan_.num_shards; ++i) {
+    const auto next = shards_[i].sched->next_event_time();
+    clock_[entry_snap][i] =
+        ClockSnap{shards_[i].sched->now().ps(), next ? next->ps() : kInfinity};
   }
-  std::unique_lock<std::mutex> lock(pool_mu_);
   job_deadline_ = deadline;
-  running_ = pool_size_;
-  ++job_epoch_;
-  pool_cv_.notify_all();
-  done_cv_.wait(lock, [&] { return running_ == 0; });
+  run_job(0);
 }
 
 }  // namespace edp::runtime

@@ -32,22 +32,28 @@
 //   * pair delays enter individually — one short link no longer drags
 //     every other pair's window down.
 //
-// The round loop (one barrier per round, not two): each worker, for every
-// shard it owns, (1) computes wend from the previous round's published
+// The round loop (one gate crossing per round, not two): each worker, for
+// every shard it owns, (1) computes wend from the previous round's published
 // snapshot, (2) drains the previous round's inbound rings into the shard
 // scheduler, (3) runs the shard to wend, pushing cross-shard sends into the
 // *current* round's rings and publishing (now, next-event, in-flight-min)
-// for the next round, then (4) barriers. Rings, in-flight minima and clock
-// snapshots are double-buffered by round parity, so round q's producers
-// never touch what round q's consumers read — the single barrier is the
-// only ordering needed.
+// for the next round, then (4) crosses the round gate. Rings, in-flight
+// minima and clock snapshots are double-buffered by round parity, so round
+// q's producers never touch what round q's consumers read — the single
+// crossing is the only ordering needed.
 //
-// Worker pool: created once (construction), parked on a condition variable
-// between run_until() calls — the scenario engine's repeated-run pattern no
-// longer pays a spawn+join per call. The pool is core-aware: by default
-// min(num_shards, hardware threads) workers multiplex the shards, so an
-// oversubscribed machine (more shards than cores) runs the round loop
-// without futex ping-pong; RuntimeOptions::max_workers forces a size.
+// Workers: the calling thread of run_until() is worker 0 and runs the first
+// shard block itself; a persistent pool of num_workers() - 1 threads, created
+// at construction, runs the rest. Every crossing — job start, each round's
+// end, job finish — goes through one RoundGate (round_gate.hpp), which spins
+// on a generation word for a bounded budget and then parks on it with
+// std::atomic::wait, so a round whose workers arrive within microseconds of
+// each other never enters the kernel, and an idle pool between run_until()
+// calls sleeps. The pool is sized from the CPUs this process may run on
+// (usable_cpus(), the affinity mask): min(num_shards, usable CPUs) workers
+// multiplex the shards in contiguous blocks, so spinning workers never
+// outnumber CPUs unless RuntimeOptions::max_workers forces a size. One
+// worker runs the same round loop on the caller alone.
 //
 // Determinism: window boundaries are computed from published snapshots that
 // are pure functions of simulation state, drains replay in fixed source-
@@ -60,15 +66,13 @@
 #pragma once
 
 #include <atomic>
-#include <barrier>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "net/packet.hpp"
+#include "runtime/round_gate.hpp"
 #include "runtime/spsc_ring.hpp"
 #include "sim/scheduler.hpp"
 #include "topo/network.hpp"
@@ -84,12 +88,23 @@ struct RuntimeOptions {
   std::size_t ring_capacity = 4096;
   /// Run single-shard plans inline on the caller's thread (no worker).
   bool inline_single_shard = true;
-  /// Worker pool size: 0 = min(num_shards, hardware threads). Values above
-  /// num_shards are clamped. With one worker the round loop runs inline on
-  /// the caller's thread (no pool threads, no barrier) — the right shape
-  /// for machines with fewer cores than shards.
+  /// Worker count, the caller included: 0 = min(num_shards, usable CPUs).
+  /// Values above num_shards are clamped; values above the CPU count are
+  /// kept (see worker_count()). With one worker the round loop runs on the
+  /// caller's thread alone — the right shape for machines with fewer CPUs
+  /// than shards.
   std::size_t max_workers = 0;
 };
+
+/// CPUs this process may run on: its scheduler affinity mask (so `taskset`
+/// and container CPU sets count), or hardware_concurrency() where the mask
+/// cannot be read. Never 0.
+std::size_t usable_cpus();
+
+/// The runtime's worker count for a plan of `shards` shards: `max_workers`
+/// when nonzero, else `cpus`, clamped to [1, shards].
+std::size_t worker_count(std::size_t shards, std::size_t max_workers,
+                         std::size_t cpus);
 
 class ParallelRuntime {
  public:
@@ -136,8 +151,8 @@ class ParallelRuntime {
   // ---- introspection --------------------------------------------------------
 
   std::size_t num_shards() const { return plan_.num_shards; }
-  /// Threads actually executing shards (<= num_shards; 1 means the round
-  /// loop runs inline on the caller).
+  /// Threads executing shards, the caller included (<= num_shards; 1 means
+  /// the round loop runs on the caller alone).
   std::size_t num_workers() const { return pool_size_; }
   const topo::ShardPlan& plan() const { return plan_; }
   /// Global minimum cut delay (nullopt = no cut links). The adaptive
@@ -155,10 +170,14 @@ class ParallelRuntime {
   std::uint64_t ring_drains() const;
   std::uint64_t ring_drained() const;
   /// Synchronization rounds executed by run_until() calls (cumulative).
-  /// Every path counts one per round: the inline single-shard fast path
-  /// runs exactly one round per call, the pooled/multiplexed paths one per
-  /// barrier crossing.
+  /// The inline single-shard fast path runs exactly one round per call,
+  /// the round loop one per round-gate crossing.
   std::uint64_t windows() const { return windows_; }
+  /// Job-start and round-end gate waits (every worker) that ran out of
+  /// spin budget and slept in the kernel (cumulative). Per round, near
+  /// zero while every worker has a CPU of its own; a pool idle between
+  /// run_until() calls parks once per call.
+  std::uint64_t gate_parks() const;
 
  private:
   /// One enqueued cross-shard delivery. `deliver` is absolute simulated
@@ -173,7 +192,7 @@ class ParallelRuntime {
 
   /// Directed shard-pair transport for one round parity: SPSC ring + FIFO
   /// overflow fallback. All accesses are phase-separated by the round
-  /// barrier — the producer writes a parity only during rounds of that
+  /// gate — the producer writes a parity only during rounds of that
   /// parity, the consumer reads it only during rounds of the opposite
   /// parity — so `overflow` needs no lock; `debug_phase` asserts the
   /// invariant in debug builds (see push()/drain_inbound()).
@@ -185,15 +204,15 @@ class ParallelRuntime {
     std::uint64_t overflowed = 0;   ///< producer-side count
 #ifndef NDEBUG
     /// 0 = idle, 1 = producer pushing, 2 = consumer draining. Never both:
-    /// the barrier separates the phases. Relaxed is enough — we only check
-    /// mutual exclusion, the barrier provides the ordering.
+    /// the round gate separates the phases. Relaxed is enough — we only
+    /// check mutual exclusion, the gate provides the ordering.
     std::atomic<int> debug_phase{0};
 #endif
   };
 
   /// Per-shard published clock snapshot, double-buffered by round parity.
-  /// Written by the owning worker before the round barrier, read by every
-  /// worker after it (the barrier is the synchronization). Padded so two
+  /// Written by the owning worker before the round gate, read by every
+  /// worker after it (the gate is the synchronization). Padded so two
   /// workers never share a line.
   struct alignas(64) ClockSnap {
     std::int64_t now_ps = 0;
@@ -213,7 +232,7 @@ class ParallelRuntime {
     std::vector<Msg> drain_burst;
     /// Staged deliveries handed to the scheduler as one inject_batch call.
     std::vector<sim::Scheduler::BatchItem> inject_burst;
-    // Consumer-side drain statistics (read after the workers park).
+    // Consumer-side drain statistics (read between run_until() calls).
     std::uint64_t ring_drains = 0;    ///< burst pops that returned >= 1 msg
     std::uint64_t ring_drained = 0;   ///< messages moved by those bursts
   };
@@ -232,13 +251,26 @@ class ParallelRuntime {
   /// from the parity-`snap` snapshot (Bellman-style relaxation; identical
   /// on every worker because the inputs are identical).
   void compute_activity_bounds(std::size_t snap, std::int64_t* e) const;
+  /// Per-worker state, padded so two workers never share a line.
+  struct alignas(64) Worker {
+    /// Scratch for the activity-bound fixpoint, one entry per shard.
+    std::vector<std::int64_t> bounds;
+    std::uint64_t parks = 0;  ///< gate waits that slept (gate_parks())
+  };
+
+  /// Cross the round gate as `worker`, counting a park.
+  void wait_at_gate(std::size_t worker) {
+    if (gate_.arrive_and_wait()) {
+      ++workers_[worker].parks;
+    }
+  }
   /// One full round for every shard owned by `worker`; returns true when
   /// every shard has reached `deadline` (same verdict on every worker).
-  bool run_round(std::size_t worker, std::uint64_t q, sim::Time deadline,
-                 std::int64_t* e);
-  /// The adaptive round loop (all workers, or inline when pool_size_ == 1).
-  void run_rounds(std::size_t worker, sim::Time deadline);
-  void pool_main(std::size_t worker);
+  bool run_round(std::size_t worker, std::uint64_t q, sim::Time deadline);
+  /// One run_until() job as `worker`: start gate, the adaptive round loop
+  /// to job_deadline_, finish gate. Returns false instead when the start
+  /// gate opened for shutdown.
+  bool run_job(std::size_t worker);
 
   topo::ShardPlan plan_;
   RuntimeOptions options_;
@@ -263,20 +295,16 @@ class ParallelRuntime {
   std::uint64_t round_ = 0;   ///< next round index; parity persists across calls
   std::uint64_t windows_ = 0;
 
-  // ---- persistent worker pool (created when pool_size_ > 1) ---------------
-  std::size_t pool_size_ = 1;
+  // ---- workers: the caller is worker 0, pool_ runs workers 1.. -----------
+  const std::size_t pool_size_;  ///< workers, the caller included
   std::size_t shards_per_worker_ = 0;
-  std::vector<std::thread> pool_;
-  std::unique_ptr<std::barrier<>> round_barrier_;
-  std::mutex pool_mu_;
-  std::condition_variable pool_cv_;   ///< workers wait for a new job epoch
-  std::condition_variable done_cv_;   ///< caller waits for running_ == 0
-  std::uint64_t job_epoch_ = 0;
-  std::size_t running_ = 0;
+  std::vector<Worker> workers_;
+  RoundGate gate_;
+  /// Written by the caller before it opens the start gate, read by every
+  /// worker after it.
   sim::Time job_deadline_;
   bool stop_ = false;
-  /// Per-worker scratch for the activity-bound fixpoint (indexed by worker).
-  std::vector<std::vector<std::int64_t>> bound_scratch_;
+  std::vector<std::thread> pool_;  ///< last: threads use every member above
 };
 
 }  // namespace edp::runtime

@@ -3,11 +3,14 @@
 // versus the sequential scheduler for every (seed, shard count) pair.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "runtime/parallel_runtime.hpp"
+#include "runtime/round_gate.hpp"
 #include "runtime/spsc_ring.hpp"
 #include "topo/network.hpp"
 #include "topo/routing.hpp"
@@ -145,6 +148,83 @@ TEST(SpscRing, PopBurstTwoThreadStress) {
   }
   producer.join();
   EXPECT_TRUE(ring.empty());
+}
+
+// ---- RoundGate --------------------------------------------------------------------
+
+// Each thread writes its own slot, crosses the gate, then reads every slot:
+// the gate alone must order the plain writes before the reads (TSan in CI
+// reports any crossing that does not). Slots are double-buffered by round
+// parity, as the runtime's rings are, because a thread that leaves round r
+// first already writes round r + 1 while its peers still read round r.
+// At most 4 threads, and no more than the usable CPUs (at least 2), so a
+// pinned run does not queue four spinners on one CPU.
+TEST(RoundGate, WritesBeforeTheGateAreSeenAfterIt) {
+  const std::size_t threads = std::clamp<std::size_t>(
+      runtime::usable_cpus(), 2, 4);
+  constexpr std::uint64_t kRounds = 20000;
+  runtime::RoundGate gate(threads);
+  std::vector<std::uint64_t> slots[2] = {
+      std::vector<std::uint64_t>(threads), std::vector<std::uint64_t>(threads)};
+  std::vector<std::uint64_t> stale(threads, 0);
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < threads; ++t) {
+    pool.emplace_back([&, t] {
+      for (std::uint64_t r = 1; r <= kRounds; ++r) {
+        std::vector<std::uint64_t>& round = slots[r & 1];
+        round[t] = r;
+        gate.arrive_and_wait();
+        for (std::uint64_t v : round) {
+          stale[t] += v != r;
+        }
+      }
+    });
+  }
+  for (std::thread& th : pool) {
+    th.join();
+  }
+  for (std::size_t t = 0; t < threads; ++t) {
+    EXPECT_EQ(stale[t], 0u) << "thread " << t;
+  }
+}
+
+// A peer that arrives long after the spin budget runs out sends the waiter
+// through the kernel: arrive_and_wait() reports the park, the wake-up
+// still comes, and the sleeper's write is visible after it.
+TEST(RoundGate, WaiterParksWhileAPeerSleeps) {
+  runtime::RoundGate gate(2);
+  constexpr int kRounds = 5;
+  int published = 0;
+  std::thread sleeper([&] {
+    for (int r = 1; r <= kRounds; ++r) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      published = r;
+      gate.arrive_and_wait();
+      gate.arrive_and_wait();  // the reader is done before the next write
+    }
+  });
+  int parks = 0;
+  for (int r = 1; r <= kRounds; ++r) {
+    parks += gate.arrive_and_wait() ? 1 : 0;
+    EXPECT_EQ(published, r);
+    gate.arrive_and_wait();
+  }
+  sleeper.join();
+  EXPECT_GT(parks, 0);
+}
+
+// ---- worker count -----------------------------------------------------------------
+
+TEST(WorkerCount, ClampsToShardsAndDefaultsToUsableCpus) {
+  using runtime::worker_count;
+  EXPECT_EQ(worker_count(4, 0, 1), 1u);  // one CPU: the caller runs alone
+  EXPECT_EQ(worker_count(4, 0, 2), 2u);  // default: one worker per CPU
+  EXPECT_EQ(worker_count(2, 0, 8), 2u);  // never more workers than shards
+  EXPECT_EQ(worker_count(2, 6, 8), 2u);  // max_workers above shards: clamped
+  EXPECT_EQ(worker_count(4, 4, 1), 4u);  // max_workers above CPUs: kept
+  EXPECT_EQ(worker_count(4, 3, 8), 3u);  // max_workers below both: kept
+  EXPECT_EQ(worker_count(1, 0, 8), 1u);
+  EXPECT_GE(runtime::usable_cpus(), 1u);
 }
 
 // ---- topology under test --------------------------------------------------------
@@ -309,42 +389,56 @@ std::uint64_t run_sequential(std::uint64_t seed, double rate_bps = 200e6) {
   return d.h;
 }
 
+// The fabric on a ParallelRuntime with its programs installed and one
+// Poisson generator per host started; run it with rt.run_until().
+struct ParallelRun {
+  const topo::Spec spec = make_spec();
+  const std::vector<std::unique_ptr<topo::L3Program>> progs = make_programs();
+  runtime::ParallelRuntime rt;
+  std::vector<std::unique_ptr<topo::PoissonGenerator>> gens;
+
+  ParallelRun(std::uint64_t seed, topo::ShardPlan plan,
+              runtime::RuntimeOptions options = {}, double rate_bps = 200e6)
+      : rt(spec, std::move(plan), options) {
+    for (std::size_t i = 0; i < spec.num_switches(); ++i) {
+      rt.sw(i).set_program(progs[i].get());
+    }
+    for (std::size_t h = 0; h < spec.num_hosts(); ++h) {
+      const auto dst = rt.host((h + 1) % spec.num_hosts()).ip();
+      gens.push_back(std::make_unique<topo::PoissonGenerator>(
+          rt.scheduler_of_host(h), rt.host(h),
+          gen_cfg(seed, h, rt.host(h).ip(), dst, rate_bps)));
+      gens.back()->start();
+    }
+  }
+
+  std::uint64_t digest() {
+    Digest d;
+    for (std::size_t i = 0; i < spec.num_switches(); ++i) {
+      d.mix_switch(rt.sw(i));
+    }
+    for (std::size_t h = 0; h < spec.num_hosts(); ++h) {
+      d.mix_host(rt.host((h + 1) % spec.num_hosts()), h);
+    }
+    return d.h;
+  }
+};
+
 RunStats run_parallel(std::uint64_t seed, std::size_t shards,
                       runtime::RuntimeOptions options = {},
                       bool split_run = false, double rate_bps = 200e6,
                       bool contiguous_plan = false) {
   const topo::Spec spec = make_spec();
-  runtime::ParallelRuntime rt(spec,
-                              contiguous_plan
-                                  ? topo::plan_shards_contiguous(spec, shards)
+  ParallelRun run(seed,
+                  contiguous_plan ? topo::plan_shards_contiguous(spec, shards)
                                   : topo::plan_shards(spec, shards),
-                              options);
-  auto progs = make_programs();
-  for (std::size_t i = 0; i < spec.num_switches(); ++i) {
-    rt.sw(i).set_program(progs[i].get());
-  }
-  std::vector<std::unique_ptr<topo::PoissonGenerator>> gens;
-  for (std::size_t h = 0; h < spec.num_hosts(); ++h) {
-    const auto dst = rt.host((h + 1) % spec.num_hosts()).ip();
-    gens.push_back(std::make_unique<topo::PoissonGenerator>(
-        rt.scheduler_of_host(h), rt.host(h),
-        gen_cfg(seed, h, rt.host(h).ip(), dst, rate_bps)));
-    gens.back()->start();
-  }
+                  options, rate_bps);
   if (split_run) {
-    rt.run_until(kRunSpan / 3);
-    rt.run_until(kRunSpan);
-  } else {
-    rt.run_until(kRunSpan);
+    run.rt.run_until(kRunSpan / 3);
   }
-  Digest d;
-  for (std::size_t i = 0; i < spec.num_switches(); ++i) {
-    d.mix_switch(rt.sw(i));
-  }
-  for (std::size_t h = 0; h < spec.num_hosts(); ++h) {
-    d.mix_host(rt.host((h + 1) % spec.num_hosts()), h);
-  }
-  return RunStats{d.h, rt.cross_shard_messages(), rt.overflow_messages()};
+  run.rt.run_until(kRunSpan);
+  return RunStats{run.digest(), run.rt.cross_shard_messages(),
+                  run.rt.overflow_messages()};
 }
 
 // ---- shard planning --------------------------------------------------------------
@@ -610,11 +704,13 @@ TEST(ParallelRuntime, RingOverflowFallbackStaysDeterministic) {
   EXPECT_EQ(par.digest, run_sequential(3, heavy));
 }
 
-// Overflow stress with real concurrency: four pool threads (max_workers
-// overrides the core count), capacity-1 rings, heavy load. Run under TSan
+// Overflow stress with real concurrency: four workers (max_workers
+// overrides the CPU count), capacity-1 rings, heavy load. Run under TSan
 // in CI, this is the witness that the unlocked overflow vectors are
-// phase-separated by the round barrier — producers append only while the
-// consumer side is parked on the opposite parity.
+// phase-separated by the round gate — producers append only while the
+// consumer side works on the opposite parity. Pinned to one CPU it also
+// shows the bounded spin falling through to kernel waits instead of
+// stalling four workers on one CPU.
 TEST(ParallelRuntime, RingOverflowStressUnderFourWorkers) {
   runtime::RuntimeOptions opt;
   opt.ring_capacity = 1;
@@ -630,26 +726,60 @@ TEST(ParallelRuntime, RingOverflowStressUnderFourWorkers) {
 // instead of barriering once per 2us lookahead. 96ms of idle tail under
 // the old runtime would cost 48000 windows on its own.
 TEST(ParallelRuntime, IdleWindowsAreSkipped) {
-  const topo::Spec spec = make_spec();
-  runtime::ParallelRuntime rt(spec, topo::plan_shards(spec, 2));
-  auto progs = make_programs();
-  for (std::size_t i = 0; i < spec.num_switches(); ++i) {
-    rt.sw(i).set_program(progs[i].get());
-  }
-  std::vector<std::unique_ptr<topo::PoissonGenerator>> gens;
-  for (std::size_t h = 0; h < spec.num_hosts(); ++h) {
-    const auto dst = rt.host((h + 1) % spec.num_hosts()).ip();
-    gens.push_back(std::make_unique<topo::PoissonGenerator>(
-        rt.scheduler_of_host(h), rt.host(h),
-        gen_cfg(11, h, rt.host(h).ip(), dst, 200e6)));
-    gens.back()->start();
-  }
-  rt.run_until(sim::Time::millis(100));
+  ParallelRun run(11, topo::plan_shards(make_spec(), 2));
+  run.rt.run_until(sim::Time::millis(100));
   // Active phase is 4ms; under the old fixed-window runtime the full run
   // would cost 100ms / 2us = 50000 windows. The adaptive windows must not
   // pay for the quiet 96ms.
-  EXPECT_LT(rt.windows(), 10000u);
-  EXPECT_GT(rt.windows(), 100u);  // the busy phase still synchronizes
+  EXPECT_LT(run.rt.windows(), 10000u);
+  EXPECT_GT(run.rt.windows(), 100u);  // the busy phase still synchronizes
+}
+
+// The scenario-engine pattern: many short run_until() jobs with caller
+// work between them — reading state the workers owned a moment earlier,
+// and now and then idling long enough for the pool to park at the start
+// gate. None of it may show in the results. Four shards on two workers,
+// so each worker also multiplexes a block.
+TEST(ParallelRuntime, SlicedRunsWithCallerWorkMatchOneShot) {
+  runtime::RuntimeOptions two;
+  two.max_workers = 2;
+  const RunStats one_shot = run_parallel(4, 4, two);
+  ParallelRun run(4, topo::plan_shards(make_spec(), 4), two);
+  ASSERT_EQ(run.rt.num_workers(), 2u);
+  constexpr std::int64_t kSlices = 12;
+  std::uint64_t delivered = 0;
+  for (std::int64_t k = 1; k <= kSlices; ++k) {
+    run.rt.run_until(kRunSpan * k / kSlices);
+    std::uint64_t rx = 0;
+    for (std::size_t h = 0; h < run.spec.num_hosts(); ++h) {
+      rx += run.rt.host(h).rx_packets();
+    }
+    EXPECT_GE(rx, delivered);
+    delivered = rx;
+    if (k % 4 == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  EXPECT_GT(delivered, 0u);
+  EXPECT_EQ(run.digest(), one_shot.digest);
+}
+
+// Destroying a runtime whose pool sleeps at the start gate wakes and joins
+// it (a hang here fails the test by timeout). Before that, a job started
+// after the pool parked counts the park in gate_parks().
+TEST(ParallelRuntime, DestroyWhilePoolIsParkedJoins) {
+  runtime::RuntimeOptions two;
+  two.max_workers = 2;  // a pool thread even on one CPU
+  auto run = std::make_unique<ParallelRun>(
+      3, topo::plan_shards(make_spec(), 2), two);
+  ASSERT_EQ(run->rt.num_workers(), 2u);
+  for (int k = 1; k <= 50 && run->rt.gate_parks() == 0; ++k) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    run->rt.run_until(sim::Time::micros(10 * k));
+  }
+  EXPECT_GT(run->rt.gate_parks(), 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  run.reset();
 }
 
 TEST(ParallelRuntime, ShardIdTagIsApplied) {
